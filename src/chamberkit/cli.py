@@ -539,6 +539,8 @@ def save_census(path, space, n):
 def load_census(path):
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise _CliError("census file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise _CliError("unsupported census schema version: %r" % (version,))

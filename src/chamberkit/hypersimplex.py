@@ -7,11 +7,15 @@ decomposition: the set of points realizing one fixed sign vector.  Cells of
 every dimension are enumerated, each with an exact rational witness in its
 relative interior.
 
-The enumeration is exact and LP-free: all 0-cells are computed by integer
-echelon elimination over independent wall subsets, full-dimensional cells by
-breadth-first search across shared facets, and lower cells by closing cell
-closures against each wall, with cells identified by the bitmask of 0-cells
-their closure contains.
+The enumeration is exact and LP-free.  A 0-cell with a coordinate 1 is a
+vertex e_i + e_j of the hypersimplex; any other 0-cell, restricted to its
+support F, is a 0-cell of the open D(|F|).  Inside the open region two
+distinct walls through one point must cross (all four parts they cut F into
+are nonempty), so those 0-cells come from a depth-first search, per support
+size, over subsets of pairwise crossing walls, solved by integer echelon
+elimination.  Full-dimensional cells follow by breadth-first search across
+shared facets, and lower cells by closing cell closures against each wall,
+with cells identified by the bitmask of 0-cells their closure contains.
 """
 
 import random
@@ -24,7 +28,7 @@ from math import gcd
 from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
 
 MAX_N = 8
-MAX_CHAMBER_N = 7
+MAX_CHAMBER_N = 6
 
 
 def _check_n(n, cap=MAX_N):
@@ -64,10 +68,6 @@ class Arrangement:
     @property
     def size(self):
         return len(self.hyperplanes)
-
-    @property
-    def carrier(self):
-        return hypersimplex_polytope(self.n)
 
     def signs_at(self, point):
         return "".join("0+-"[h.value_sign(point)] for h in self.hyperplanes)
@@ -148,7 +148,7 @@ class Chamber:
 
 
 # ---------------------------------------------------------------------------
-# 0-cells: exact enumeration over independent wall subsets.
+# 0-cells: search by support and pairwise crossing walls.
 
 
 def _reduced_rows(arrangement):
@@ -162,13 +162,31 @@ def _reduced_rows(arrangement):
     return rows
 
 
-def _enumerate_vertices(arrangement):
-    """All 0-cells of the decomposition, as exact coordinate tuples."""
-    n = arrangement.n
-    m = n - 1
-    rows = _reduced_rows(arrangement)
-    H = len(rows)
-    found = {}
+def _crosses(s, t, full):
+    """Walls s and t (bitmasks inside the support full) cut it into four
+    nonempty parts: only such walls can meet inside the open hypersimplex."""
+    return bool(s & t and s & ~t and t & ~s and full & ~(s | t))
+
+
+def _open_vertices(k):
+    """0-cells of the open D(k), as tuples of exact coordinates in (0, 1).
+
+    Each complementary pair of walls within range(k) is kept as its member
+    without the last coordinate, which the carrier chart eliminates; the
+    wall then reads sum_{i in S} x_i = 1 with an indicator row.  Two
+    distinct walls through one point of the open region cross, so the
+    search only extends a wall subset by walls crossing all of it.
+    """
+    m = k - 1
+    full = (1 << k) - 1
+    walls = []
+    for size in range(2, k - 1):
+        for combo in combinations(range(m), size):
+            bits = 0
+            for i in combo:
+                bits |= 1 << i
+            walls.append((bits, tuple(1 if i in combo else 0 for i in range(m))))
+    found = set()
 
     def solve(ech, pivs):
         x = [None] * m
@@ -180,36 +198,26 @@ def _enumerate_vertices(arrangement):
             x[p] = s / co[p]
         return x
 
-    def recurse(start, ech, pivs):
+    def recurse(start, chosen, ech, pivs):
         depth = len(ech)
         if depth == m:
             x = solve(ech, pivs)
-            ok = True
-            total = Fraction(0)
-            for v in x:
-                if v < 0 or v > 1:
-                    ok = False
-                    break
-                total += v
-            if ok:
-                last = 2 - total
-                if 0 <= last <= 1:
-                    found[tuple(x) + (last,)] = True
+            x.append(2 - sum(x))
+            if all(0 < v < 1 for v in x):
+                found.add(tuple(x))
             return
-        for i in range(start, H - (m - depth) + 1):
-            co, rh = rows[i]
-            co = list(co)
+        for i in range(start, len(walls) - (m - depth) + 1):
+            bits, co = walls[i]
+            if not all(_crosses(bits, c, full) for c in chosen):
+                continue
+            rh = 1
             for (eco, erh), p in zip(ech, pivs):
                 f = co[p]
                 if f:
                     ep = eco[p]
                     co = [a * ep - f * b for a, b in zip(co, eco)]
                     rh = rh * ep - f * erh
-            piv = -1
-            for j, c in enumerate(co):
-                if c:
-                    piv = j
-                    break
+            piv = next((j for j, c in enumerate(co) if c), -1)
             if piv < 0:
                 continue  # dependent or inconsistent: no rank gain from this wall
             g = abs(rh)
@@ -218,9 +226,30 @@ def _enumerate_vertices(arrangement):
             if g > 1:
                 co = [c // g for c in co]
                 rh //= g
-            recurse(i + 1, ech + [(tuple(co), rh)], pivs + [piv])
+            recurse(i + 1, chosen + [bits], ech + [(tuple(co), rh)], pivs + [piv])
 
-    recurse(0, [], [])
+    recurse(0, [], [], [])
+    return found
+
+
+def _enumerate_vertices(n):
+    """All 0-cells of the decomposition of D(n), as exact coordinate tuples.
+
+    A 0-cell with a coordinate 1 is a vertex e_i + e_j of the hypersimplex.
+    Any other 0-cell, restricted to its support F, is a 0-cell of the open
+    D(|F|), and |F| >= 4 since the open D(3) meets no wall.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    found = [tuple(one if t in (i, j) else zero for t in range(n))
+             for i, j in combinations(range(n), 2)]
+    for k in range(4, n + 1):
+        inner = _open_vertices(k)
+        for support in combinations(range(n), k):
+            for x in inner:
+                v = [zero] * n
+                for i, xi in zip(support, x):
+                    v[i] = xi
+                found.append(tuple(v))
     return sorted(found)
 
 
@@ -252,7 +281,8 @@ class ChamberComplex:
     def _build(self):
         arr = self.arrangement
         n = self.n
-        self.vertices = _enumerate_vertices(arr)
+        self.vertices = _enumerate_vertices(n)
+        self._rows = _reduced_rows(arr)
         nv = len(self.vertices)
         den = 1
         for v in self.vertices:
@@ -412,9 +442,8 @@ class ChamberComplex:
 
     def _zero_rank(self, signs):
         """Rank in the carrier chart of the walls a cell lies on."""
-        n = self.n
-        m = n - 1
-        rows = _reduced_rows(self.arrangement)
+        m = self.n - 1
+        rows = self._rows
         ech = []
         pivs = []
         for hi, s in enumerate(signs):
@@ -440,7 +469,8 @@ class ChamberComplex:
         records = []
         dims = {}
         for mask in masks:
-            if self.interior_only and self._mask_on_boundary(mask):
+            boundary = self._mask_on_boundary(mask)
+            if self.interior_only and boundary:
                 continue
             signs = self._mask_signs(mask)
             dim = (n - 1) - self._zero_rank(signs)
@@ -454,8 +484,6 @@ class ChamberComplex:
                 for j in range(n):
                     sums[j] += v[j]
             witness = tuple(Fraction(s, den * count) for s in sums)
-            boundary = any(s == "0" and self.arrangement.hyperplanes[i].kind != "sum"
-                           for i, s in enumerate(signs))
             records.append((dim, signs, witness, boundary, mask))
             dims[mask] = dim
         records.sort(key=lambda r: (r[0], r[1]))
@@ -563,15 +591,6 @@ class AdmissiblePolytope:
         if self.kind == "SECTION":
             return sum(point[i] for i in self.subsets[0]) == 1
         return all(sum(point[i] for i in s) < 1 for s in self.subsets)
-
-    def polytope(self):
-        n = self.n
-        cons = list(hypersimplex_polytope(n).constraints)
-        for s in self.subsets:
-            coeffs = [1 if i in s else 0 for i in range(n)]
-            rel = EQ if self.kind == "SECTION" else LE
-            cons.append(LinConstraint(coeffs, rel, 1))
-        return HPolytope(n, tuple(cons))
 
 
 def _disjoint_families(pool):
@@ -757,8 +776,3 @@ def permute_point(perm, point):
     for i, x in enumerate(point):
         out[perm[i]] = x
     return tuple(out)
-
-
-def permuted_chamber(complex_, perm, chamber):
-    """The image cell of a chamber under a coordinate permutation."""
-    return complex_.locate(permute_point(perm, chamber.witness))

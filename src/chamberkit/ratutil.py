@@ -29,6 +29,8 @@ def format_vector(xs) -> list:
 
 
 def parse_vector(s: str) -> tuple:
-    """Parse a comma separated vector of rationals."""
-    parts = [p for p in s.split(",") if p.strip()]
+    """Parse a comma separated vector of rationals; an empty field is an error."""
+    parts = s.split(",")
+    if any(not p.strip() for p in parts):
+        raise ValueError("empty field in rational vector %r" % s)
     return tuple(parse_rational(p) for p in parts)

@@ -746,7 +746,9 @@ def wonderful_divisor_census(n):
     by_type = {}
     by_center = {}
     for elem in lattice.elements:
-        assert len(elem.components) == 1
+        if len(elem.components) != 1:
+            raise RuntimeError("wonderful building-set element with %d components"
+                               % len(elem.components))
         r = len(elem.components[0])
         factor_i = "F%d" % (r + 1)
         factor_j = "F%d" % (n - r + 1)

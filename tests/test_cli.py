@@ -4,6 +4,7 @@ import os
 import pytest
 
 from chamberkit.cli import main, run
+from chamberkit.ratutil import parse_vector
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -143,6 +144,36 @@ def test_input_errors(capsys):
     assert main(["census", "--space", "dm", "--n", "5"]) == 1
     assert main(["xi", "--point", "1,1,0,0,0"]) == 1
     assert main(["nonsense"]) == 1
+
+
+def _one_error(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
+def test_chamber_guard_n7(capsys):
+    assert main(["chambers", "--n", "7"]) == 1
+    _one_error(capsys)
+    assert main(["omega", "--point", ",".join(["2/7"] * 7)]) == 1
+    _one_error(capsys)
+
+
+def test_parse_vector_rejects_empty_fields(capsys):
+    for text in ("1,,2", "1,2,", ",1,2"):
+        with pytest.raises(ValueError):
+            parse_vector(text)
+    assert parse_vector(" 1, 2 ") == (1, 2)
+    assert main(["invert", "--mode", "mult", "--coeffs", "1,,2"]) == 1
+    _one_error(capsys)
+
+
+def test_census_check_rejects_non_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]\n")
+    assert main(["census", "--space", "dm", "--n", "5", "--check",
+                 str(path)]) == 1
+    _one_error(capsys)
 
 
 def test_census_roundtrip(tmp_path):

@@ -1,16 +1,71 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
+from chamberkit import hypersimplex as hs
 from chamberkit.exactgeom import EQ, LinConstraint, eq, ge, gt, le, lp_feasible, lt
-from chamberkit.hypersimplex import (build_arrangement, chamber_adjacency,
-                                     chamber_complex, enumerate_admissible,
-                                     enumerate_chambers, hypersimplex_polytope,
+from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
+                                     _reduced_rows, build_arrangement,
+                                     chamber_adjacency, chamber_complex,
+                                     enumerate_admissible, enumerate_chambers,
+                                     hypersimplex_polytope,
                                      independent_cell_census, omega_set,
                                      permute_point, rejected_cut_families)
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
+
+
+def _enumerate_vertices_oracle(arrangement):
+    """0-cells by depth-first search over every independent (n-1)-subset of
+    all walls, kept if the solution lies in D(n)."""
+    n = arrangement.n
+    m = n - 1
+    rows = _reduced_rows(arrangement)
+    H = len(rows)
+    found = {}
+
+    def solve(ech, pivs):
+        x = [None] * m
+        for (co, rh), p in reversed(list(zip(ech, pivs))):
+            s = F(rh)
+            for j, c in enumerate(co):
+                if c and j != p:
+                    s -= c * x[j]
+            x[p] = s / co[p]
+        return x
+
+    def recurse(start, ech, pivs):
+        depth = len(ech)
+        if depth == m:
+            x = solve(ech, pivs)
+            last = 2 - sum(x)
+            if all(0 <= v <= 1 for v in x) and 0 <= last <= 1:
+                found[tuple(x) + (last,)] = True
+            return
+        for i in range(start, H - (m - depth) + 1):
+            co, rh = rows[i]
+            co = list(co)
+            for (eco, erh), p in zip(ech, pivs):
+                f = co[p]
+                if f:
+                    ep = eco[p]
+                    co = [a * ep - f * b for a, b in zip(co, eco)]
+                    rh = rh * ep - f * erh
+            piv = next((j for j, c in enumerate(co) if c), -1)
+            if piv < 0:
+                continue
+            g = abs(rh)
+            for c in co:
+                g = gcd(g, abs(c))
+            if g > 1:
+                co = [c // g for c in co]
+                rh //= g
+            recurse(i + 1, ech + [(tuple(co), rh)], pivs + [piv])
+
+    recurse(0, [], [])
+    return sorted(found)
 
 
 def test_arrangement_counts():
@@ -71,6 +126,26 @@ def test_census_matches_independent_oracle():
         cells = enumerate_chambers(n)
         reps = independent_cell_census(n)
         assert {c.signs for c in cells} == set(reps)
+
+
+def test_vertices_match_oracle():
+    sizes = {}
+    for n in (4, 5, 6):
+        fast = _enumerate_vertices(n)
+        assert fast == _enumerate_vertices_oracle(build_arrangement(n))
+        sizes[n] = len(fast)
+    assert sizes == {4: 7, 5: 20, 6: 142}
+
+
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_complex_matches_oracle_vertex_build(monkeypatch, interior_only):
+    fast = chamber_complex(5, interior_only)
+    monkeypatch.setattr(hs, "_enumerate_vertices",
+                        lambda n: _enumerate_vertices_oracle(build_arrangement(n)))
+    slow = ChamberComplex(5, interior_only)
+    assert fast.vertices == slow.vertices
+    assert fast.chambers == slow.chambers  # signs, dim, witness, boundary, index
+    assert fast.adjacency == slow.adjacency
 
 
 def test_cell_counts_frozen():
