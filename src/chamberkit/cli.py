@@ -14,7 +14,7 @@ from . import hypersimplex as hs
 from . import series as se
 from . import strata as st
 from . import weights as wt
-from .ratutil import format_rational, format_vector, parse_vector
+from .ratutil import format_rational, parse_vector
 
 SCHEMA_VERSION = 1
 

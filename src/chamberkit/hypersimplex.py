@@ -1,4 +1,4 @@
-"""Chamber decomposition of the second hypersimplex.
+"""Chamber decomposition of the second hypersimplex, and the cell engine.
 
 The region of interest is D(n) = {x in [0,1]^n : sum x = 2}, cut by the
 arrangement of all restricted subset-sum walls sum_{i in S} x_i = 1 together
@@ -13,9 +13,13 @@ support F, is a 0-cell of the open D(|F|).  Inside the open region two
 distinct walls through one point must cross (all four parts they cut F into
 are nonempty), so those 0-cells come from a depth-first search, per support
 size, over subsets of pairwise crossing walls, solved by integer echelon
-elimination.  Full-dimensional cells follow by breadth-first search across
-shared facets, and lower cells by closing cell closures against each wall,
-with cells identified by the bitmask of 0-cells their closure contains.
+elimination (_solutions).
+
+CellEngine holds the cells of an arrangement as bitmasks of the 0-cells in
+their closures, and finds the full-dimensional cells by breadth-first search
+across shared facets.  It serves both decompositions cut by these walls:
+ChamberComplex here, which then closes cell closures against each wall to
+reach the lower cells, and weights.fine_chambers on the weight domain.
 """
 
 import random
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
 
@@ -55,9 +59,6 @@ class Hyperplane:
     def value_sign(self, point):
         v = sum(a * x for a, x in zip(self.normal, point)) - self.const
         return 0 if v == 0 else (1 if v > 0 else -1)
-
-    def constraint(self):
-        return LinConstraint(list(self.normal), EQ, self.const)
 
 
 @dataclass(frozen=True)
@@ -148,6 +149,164 @@ class Chamber:
 
 
 # ---------------------------------------------------------------------------
+# Integer echelon elimination and the cell engine shared by both complexes.
+
+
+def _eliminate(row, rhs, ech, pivs):
+    """One fraction-free echelon step: reduce (row, rhs) against the rows
+    (coeffs, rhs) of ech, whose pivot columns are pivs.  Returns the reduced
+    row, its right-hand side and its pivot, -1 when the row is dependent."""
+    for (eco, erh), p in zip(ech, pivs):
+        f = row[p]
+        if f:
+            ep = eco[p]
+            row = [a * ep - f * b for a, b in zip(row, eco)]
+            rhs = rhs * ep - f * erh
+    return row, rhs, next((j for j, c in enumerate(row) if c), -1)
+
+
+def _rank(rows, cap):
+    """Rank of the integer rows, counted up to cap."""
+    ech = []
+    pivs = []
+    for row in rows:
+        row, _, piv = _eliminate(row, 0, ech, pivs)
+        if piv >= 0:
+            ech.append((row, 0))
+            pivs.append(piv)
+            if len(ech) == cap:
+                break
+    return len(ech)
+
+
+def _solutions(rows, m, compatible=None):
+    """Solutions of every independent m-subset of the rows (coeffs, rhs).
+
+    A depth-first search over integer echelon forms, each reduced row divided
+    by the gcd of its entries, then back substitution.  When compatible is
+    given, compatible[i] is the bitmask of the rows that may be chosen
+    together with row i.  The same point may be listed more than once.
+    """
+    out = []
+
+    def recurse(start, allowed, ech, pivs):
+        depth = len(ech)
+        if depth == m:
+            # Back substitution over a common denominator d: x = xs / d.
+            xs = [0] * m
+            d = 1
+            for (co, rh), p in reversed(list(zip(ech, pivs))):
+                t = rh * d - sum(c * v for c, v in zip(co, xs))
+                xs = [v * co[p] for v in xs]
+                xs[p] = t
+                d *= co[p]
+            out.append([Fraction(v, d) for v in xs])
+            return
+        for i in range(start, len(rows) - (m - depth) + 1):
+            if not (allowed >> i) & 1:
+                continue
+            co, rh, piv = _eliminate(rows[i][0], rows[i][1], ech, pivs)
+            if piv < 0:
+                continue  # dependent or inconsistent: no rank gain from this row
+            g = gcd(rh, *co)
+            if g > 1:
+                co = [c // g for c in co]
+                rh //= g
+            recurse(i + 1, allowed & compatible[i] if compatible else allowed,
+                    ech + [(co, rh)], pivs + [piv])
+
+    recurse(0, (1 << len(rows)) - 1, [], [])
+    return out
+
+
+def _bit_indices(mask):
+    while mask:
+        lsb = mask & -mask
+        mask ^= lsb
+        yield lsb.bit_length() - 1
+
+
+class CellEngine:
+    """Cells of a plane arrangement on a region, as bitmasks of 0-cells.
+
+    Takes the planes (normal, const) and the exact 0-cells of the region.  A
+    cell is identified by the bitmask of the 0-cells in its closure, so faces
+    are bitwise intersections.  zeros[h], pos[h] and neg[h] are the 0-cells
+    on, above and below plane h, all as integer numerators over den.
+    """
+
+    def __init__(self, planes, vertices):
+        self.planes = planes
+        self.den = den = lcm(*(x.denominator for v in vertices for x in v))
+        self.vnums = [tuple(int(x * den) for x in v) for v in vertices]
+        self.all_mask = (1 << len(vertices)) - 1
+        self.zeros = [0] * len(planes)
+        self.pos = [0] * len(planes)
+        self.neg = [0] * len(planes)
+        for vi, nums in enumerate(self.vnums):
+            bit = 1 << vi
+            for hi, (normal, const) in enumerate(planes):
+                val = sum(a * b for a, b in zip(normal, nums)) - const * den
+                if val == 0:
+                    self.zeros[hi] |= bit
+                elif val > 0:
+                    self.pos[hi] |= bit
+                else:
+                    self.neg[hi] |= bit
+
+    def sigbits(self, point):
+        """The planes a point lies strictly above, as a bitmask."""
+        return sum(1 << hi for hi, (normal, const) in enumerate(self.planes)
+                   if sum(a * x for a, x in zip(normal, point)) > const)
+
+    def mask_for(self, sigbits):
+        """0-cells compatible with a strict sign assignment (bit set = plus)."""
+        m = self.all_mask
+        zeros, pos, neg = self.zeros, self.pos, self.neg
+        for hi in range(len(self.planes)):
+            m &= zeros[hi] | (pos[hi] if (sigbits >> hi) & 1 else neg[hi])
+            if not m:
+                break
+        return m
+
+    def rank(self, mask, cap):
+        """Affine rank of the 0-cells in mask, counted up to cap."""
+        pts = (self.vnums[i] for i in _bit_indices(mask))
+        base = next(pts, None)
+        return _rank(([a - b for a, b in zip(v, base)] for v in pts), cap)
+
+    def top_cells(self, seed_sigbits, flippable, dim):
+        """All dim-dimensional cells, sigbits -> mask, reached from the seed
+        cell by flipping across shared facets on the flippable planes."""
+        start = self.mask_for(seed_sigbits)
+        if not start:
+            raise RuntimeError("seed cell has no supporting 0-cells")
+        tops = {seed_sigbits: start}
+        queue = [seed_sigbits]
+        zeros = self.zeros
+        while queue:
+            sig = queue.pop()
+            mask = tops[sig]
+            for hi in flippable:
+                wall = mask & zeros[hi]
+                if not wall:
+                    continue
+                other = sig ^ (1 << hi)
+                if other in tops or self.rank(wall, dim - 1) != dim - 1:
+                    continue
+                tops[other] = self.mask_for(other)
+                queue.append(other)
+        return tops
+
+    def witness(self, mask):
+        """The mean of the 0-cells in mask, a point of the cell's relative
+        interior."""
+        pts = [self.vnums[i] for i in _bit_indices(mask)]
+        d = self.den * len(pts)
+        return tuple(Fraction(sum(col), d) for col in zip(*pts))
+
+
+# ---------------------------------------------------------------------------
 # 0-cells: search by support and pairwise crossing walls.
 
 
@@ -179,56 +338,19 @@ def _open_vertices(k):
     """
     m = k - 1
     full = (1 << k) - 1
-    walls = []
+    bits = []
+    rows = []
     for size in range(2, k - 1):
         for combo in combinations(range(m), size):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            walls.append((bits, tuple(1 if i in combo else 0 for i in range(m))))
+            bits.append(sum(1 << i for i in combo))
+            rows.append((tuple(1 if i in combo else 0 for i in range(m)), 1))
+    crossing = [sum(1 << j for j, t in enumerate(bits) if _crosses(s, t, full))
+                for s in bits]
     found = set()
-
-    def solve(ech, pivs):
-        x = [None] * m
-        for (co, rh), p in reversed(list(zip(ech, pivs))):
-            s = Fraction(rh)
-            for j, c in enumerate(co):
-                if c and j != p:
-                    s -= c * x[j]
-            x[p] = s / co[p]
-        return x
-
-    def recurse(start, chosen, ech, pivs):
-        depth = len(ech)
-        if depth == m:
-            x = solve(ech, pivs)
-            x.append(2 - sum(x))
-            if all(0 < v < 1 for v in x):
-                found.add(tuple(x))
-            return
-        for i in range(start, len(walls) - (m - depth) + 1):
-            bits, co = walls[i]
-            if not all(_crosses(bits, c, full) for c in chosen):
-                continue
-            rh = 1
-            for (eco, erh), p in zip(ech, pivs):
-                f = co[p]
-                if f:
-                    ep = eco[p]
-                    co = [a * ep - f * b for a, b in zip(co, eco)]
-                    rh = rh * ep - f * erh
-            piv = next((j for j, c in enumerate(co) if c), -1)
-            if piv < 0:
-                continue  # dependent or inconsistent: no rank gain from this wall
-            g = abs(rh)
-            for c in co:
-                g = gcd(g, abs(c))
-            if g > 1:
-                co = [c // g for c in co]
-                rh //= g
-            recurse(i + 1, chosen + [bits], ech + [(tuple(co), rh)], pivs + [piv])
-
-    recurse(0, [], [], [])
+    for x in _solutions(rows, m, crossing):
+        x.append(2 - sum(x))
+        if all(0 < v < 1 for v in x):
+            found.add(tuple(x))
     return found
 
 
@@ -257,16 +379,12 @@ def _enumerate_vertices(n):
 # The cell complex.
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 class ChamberComplex:
     """Full cell decomposition of D(n), cached per n.
 
     Cells are represented internally by the bitmask of 0-cells contained in
-    their closure; this identifies a cell uniquely and makes face extraction
-    a bitwise intersection.
+    their closure (see CellEngine); this identifies a cell uniquely and makes
+    face extraction a bitwise intersection.
     """
 
     def __init__(self, n, interior_only=False):
@@ -280,37 +398,15 @@ class ChamberComplex:
 
     def _build(self):
         arr = self.arrangement
-        n = self.n
-        self.vertices = _enumerate_vertices(n)
+        self.vertices = _enumerate_vertices(self.n)
         self._rows = _reduced_rows(arr)
-        nv = len(self.vertices)
-        den = 1
-        for v in self.vertices:
-            for x in v:
-                den = _lcm(den, x.denominator)
-        self._den = den
-        self._vnums = [tuple(int(x * den) for x in v) for v in self.vertices]
-        H = arr.size
-        zeros = [0] * H
-        pos = [0] * H
-        neg = [0] * H
-        for vi, nums in enumerate(self._vnums):
-            bit = 1 << vi
-            for hi, h in enumerate(arr.hyperplanes):
-                val = sum(a * b for a, b in zip(h.normal, nums)) - h.const * den
-                if val == 0:
-                    zeros[hi] |= bit
-                elif val > 0:
-                    pos[hi] |= bit
-                else:
-                    neg[hi] |= bit
-        self._zeros = zeros
-        self._pos = pos
-        self._neg = neg
-        self._all_mask = (1 << nv) - 1
-        self._sum_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind == "sum"]
+        self._cells = CellEngine([(h.normal, h.const) for h in arr.hyperplanes],
+                                 self.vertices)
+        self._zeros = self._cells.zeros
+        sum_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind == "sum"]
         self._box_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind != "sum"]
-        top = self._top_cells()
+        seed = self._cells.sigbits(self._seed_point())
+        top = self._cells.top_cells(seed, sum_idx, self.n - 1)
         cells, edges = self._close_faces(top)
         self._finalize(cells, edges)
 
@@ -326,79 +422,6 @@ class ChamberComplex:
             if all(h.value_sign(x) != 0 for h in self.arrangement.hyperplanes):
                 return x
         raise RuntimeError("could not sample a generic interior point")
-
-    def _mask_for_signbits(self, sigbits):
-        """Vertices compatible with a strict sign assignment (bit set = plus)."""
-        m = self._all_mask
-        zeros, pos, neg = self._zeros, self._pos, self._neg
-        for hi in range(self.arrangement.size):
-            if (sigbits >> hi) & 1:
-                m &= zeros[hi] | pos[hi]
-            else:
-                m &= zeros[hi] | neg[hi]
-            if not m:
-                break
-        return m
-
-    def _top_cells(self):
-        """All full-dimensional cells, by BFS across shared facets."""
-        arr = self.arrangement
-        n = self.n
-        seed = self._seed_point()
-        sigbits = 0
-        for hi, h in enumerate(arr.hyperplanes):
-            if h.value_sign(seed) > 0:
-                sigbits |= 1 << hi
-        start_mask = self._mask_for_signbits(sigbits)
-        if not start_mask:
-            raise RuntimeError("seed cell has no supporting 0-cells")
-        tops = {sigbits: start_mask}
-        queue = [sigbits]
-        zeros = self._zeros
-        need = n - 2  # facet rank in the carrier chart
-        while queue:
-            sig = queue.pop()
-            mask = tops[sig]
-            for hi in self._sum_idx:
-                wall = mask & zeros[hi]
-                if not wall:
-                    continue
-                other = sig ^ (1 << hi)
-                if other in tops:
-                    continue
-                if self._mask_rank(wall, need) != need:
-                    continue
-                omask = self._mask_for_signbits(other)
-                tops[other] = omask
-                queue.append(other)
-        return tops
-
-    def _mask_rank(self, mask, cap):
-        """Affine rank of the 0-cells indexed by mask, capped for early exit."""
-        vnums = self._vnums
-        base = None
-        ech = []
-        pivs = []
-        while mask:
-            lsb = mask & -mask
-            mask ^= lsb
-            v = vnums[lsb.bit_length() - 1]
-            if base is None:
-                base = v
-                continue
-            row = [a - b for a, b in zip(v, base)]
-            for eco, p in zip(ech, pivs):
-                f = row[p]
-                if f:
-                    ep = eco[p]
-                    row = [a * ep - f * b for a, b in zip(row, eco)]
-            piv = next((j for j, c in enumerate(row) if c), -1)
-            if piv >= 0:
-                ech.append(tuple(row))
-                pivs.append(piv)
-                if len(ech) >= cap:
-                    return len(ech)
-        return len(ech)
 
     def _close_faces(self, tops):
         """Walk every cell closure down to its faces via wall intersections."""
@@ -430,7 +453,7 @@ class ChamberComplex:
 
     def _mask_signs(self, mask):
         out = []
-        zeros, pos = self._zeros, self._pos
+        zeros, pos = self._zeros, self._cells.pos
         for hi in range(self.arrangement.size):
             if (mask & zeros[hi]) == mask:
                 out.append("0")
@@ -442,30 +465,12 @@ class ChamberComplex:
 
     def _zero_rank(self, signs):
         """Rank in the carrier chart of the walls a cell lies on."""
-        m = self.n - 1
         rows = self._rows
-        ech = []
-        pivs = []
-        for hi, s in enumerate(signs):
-            if s != "0":
-                continue
-            co = list(rows[hi][0])
-            for eco, p in zip(ech, pivs):
-                f = co[p]
-                if f:
-                    ep = eco[p]
-                    co = [a * ep - f * b for a, b in zip(co, eco)]
-            piv = next((j for j, c in enumerate(co) if c), -1)
-            if piv >= 0:
-                ech.append(tuple(co))
-                pivs.append(piv)
-                if len(ech) == m:
-                    break
-        return len(ech)
+        return _rank((rows[hi][0] for hi, s in enumerate(signs) if s == "0"),
+                     self.n - 1)
 
     def _finalize(self, masks, edges):
         n = self.n
-        den = self._den
         records = []
         dims = {}
         for mask in masks:
@@ -474,17 +479,7 @@ class ChamberComplex:
                 continue
             signs = self._mask_signs(mask)
             dim = (n - 1) - self._zero_rank(signs)
-            count = bin(mask).count("1")
-            sums = [0] * n
-            mm = mask
-            while mm:
-                lsb = mm & -mm
-                mm ^= lsb
-                v = self._vnums[lsb.bit_length() - 1]
-                for j in range(n):
-                    sums[j] += v[j]
-            witness = tuple(Fraction(s, den * count) for s in sums)
-            records.append((dim, signs, witness, boundary, mask))
+            records.append((dim, signs, self._cells.witness(mask), boundary, mask))
             dims[mask] = dim
         records.sort(key=lambda r: (r[0], r[1]))
         self.chambers = []
@@ -522,13 +517,7 @@ class ChamberComplex:
 
     def chamber_vertices(self, chamber):
         """The exact 0-cells spanning the closure of a cell."""
-        mask = self._mask_of[chamber.signs]
-        out = []
-        while mask:
-            lsb = mask & -mask
-            mask ^= lsb
-            out.append(self.vertices[lsb.bit_length() - 1])
-        return out
+        return [self.vertices[i] for i in _bit_indices(self._mask_of[chamber.signs])]
 
     def sample_relative_interior(self, chamber, count, seed=0):
         """Deterministic exact samples from a cell's relative interior."""
@@ -716,9 +705,7 @@ def independent_cell_census(n, max_rounds=None):
         return "".join(out)
 
     def encode(point):
-        den = 1
-        for x in point:
-            den = _lcm(den, x.denominator)
+        den = lcm(*(x.denominator for x in point))
         return tuple(int(x * den) for x in point), den
 
     reps = {}

@@ -24,10 +24,6 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def format_vector(xs) -> list:
-    return [format_rational(x) for x in xs]
-
-
 def parse_vector(s: str) -> tuple:
     """Parse a comma separated vector of rationals; an empty field is an error."""
     parts = s.split(",")

@@ -693,9 +693,6 @@ class BuildingLattice:
             pairs.update(combinations(sorted(g), 2))
         return IntersectionLocus(self.n, _closure_components(self.n, pairs))
 
-    def element_index(self, locus):
-        return self.elements.index(locus)
-
 
 @lru_cache(maxsize=None)
 def wonderful_building_set(n):

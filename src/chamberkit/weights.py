@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 
 from .exactgeom import eq, gt, le, lp_feasible, lt
-from .hypersimplex import canonical_subset
+from .hypersimplex import CellEngine, _solutions, canonical_subset
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -80,10 +79,6 @@ class Linearisation:
     @property
     def n(self):
         return len(self.entries)
-
-    def on_open_part(self):
-        """True when additionally every t_i < 1."""
-        return all(t < 1 for t in self.entries)
 
 
 @dataclass(frozen=True)
@@ -350,159 +345,40 @@ def _fine_planes(n):
 
 
 def _fine_vertices(planes, n):
-    """0-cells of the closed region box * {sum >= 2}: exact sign-rank search."""
-    H = len(planes)
-    found = {}
-
-    def recurse(start, ech, pivs):
-        depth = len(ech)
-        if depth == n:
-            x = [None] * n
-            for (co, rh), p in reversed(list(zip(ech, pivs))):
-                s = Fraction(rh)
-                for j, c in enumerate(co):
-                    if c and j != p:
-                        s -= c * x[j]
-                x[p] = s / co[p]
-            if all(0 <= v <= 1 for v in x) and sum(x) >= 2:
-                found[tuple(x)] = True
-            return
-        for i in range(start, H - (n - depth) + 1):
-            co, rh = planes[i]
-            co = list(co)
-            for (eco, erh), p in zip(ech, pivs):
-                f = co[p]
-                if f:
-                    ep = eco[p]
-                    co = [a * ep - f * b for a, b in zip(co, eco)]
-                    rh = rh * ep - f * erh
-            piv = next((j for j, c in enumerate(co) if c), -1)
-            if piv < 0:
-                continue
-            recurse(i + 1, ech + [(tuple(co), rh)], pivs + [piv])
-
-    recurse(0, [], [])
-    return sorted(found)
+    """0-cells of the closed region box * {sum >= 2}, by the shared echelon
+    search with no wall filter: off the plane sum = 2, disjoint walls meet."""
+    return sorted({tuple(x) for x in _solutions(planes, n)
+                   if all(0 <= v <= 1 for v in x) and sum(x) >= 2})
 
 
 @lru_cache(maxsize=None)
 def fine_chambers(n):
     """Every full-dimensional chamber of D(0,n).
 
-    Same vertex-bitmask technique as the carrier decomposition: 0-cells of
-    the closed region support every cell closure, full-dimensional cells are
+    The carrier decomposition's cell engine (hypersimplex.CellEngine) run on
+    the weight walls and the domain planes of D(0,n): the 0-cells of the
+    closed region support every cell closure, and full-dimensional cells are
     reached by flipping across shared wall facets (domain planes are never
-    flipped; crossing them leaves D(0,n)), and a facet is recognized by the
-    affine rank of the 0-cells shared with the wall.
+    flipped; crossing them leaves D(0,n)).
     """
     if n > MAX_FINE_N:
         raise ValueError("fine chamber enumeration guarded to n <= %d" % MAX_FINE_N)
     walls = weight_walls(n)
-    nw = len(walls)
     planes = _fine_planes(n)
-    verts = _fine_vertices(planes, n)
-    den = 1
-    for v in verts:
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
-    vnums = [tuple(int(x * den) for x in v) for v in verts]
-    H = len(planes)
-    zeros = [0] * H
-    pos = [0] * H
-    neg = [0] * H
-    for vi, nums in enumerate(vnums):
-        bit = 1 << vi
-        for hi, (coeffs, const) in enumerate(planes):
-            val = sum(a * b for a, b in zip(coeffs, nums)) - const * den
-            if val == 0:
-                zeros[hi] |= bit
-            elif val > 0:
-                pos[hi] |= bit
-            else:
-                neg[hi] |= bit
-    all_mask = (1 << len(verts)) - 1
-
-    def mask_for(sigbits):
-        m = all_mask
-        for hi in range(H):
-            m &= (zeros[hi] | pos[hi]) if (sigbits >> hi) & 1 else (zeros[hi] | neg[hi])
-            if not m:
-                break
-        return m
-
-    def affine_rank(mask, cap):
-        base = None
-        ech, pivs = [], []
-        while mask:
-            lsb = mask & -mask
-            mask ^= lsb
-            v = vnums[lsb.bit_length() - 1]
-            if base is None:
-                base = v
-                continue
-            row = [a - b for a, b in zip(v, base)]
-            for eco, p in zip(ech, pivs):
-                f = row[p]
-                if f:
-                    ep = eco[p]
-                    row = [a * ep - f * b for a, b in zip(row, eco)]
-            piv = next((j for j, c in enumerate(row) if c), -1)
-            if piv >= 0:
-                ech.append(tuple(row))
-                pivs.append(piv)
-                if len(ech) >= cap:
-                    return len(ech)
-        return len(ech)
-
+    cells = CellEngine(planes, _fine_vertices(planes, n))
     rng = random.Random(48271 + n)
-    seed = None
-    while seed is None:
+    while True:
         raw = [Fraction(rng.randint(1, 499), 500) for _ in range(n)]
-        if sum(raw) <= 2:
-            continue
-        vals = [sum(raw[i] for i in s) - 1 for s in weight_walls(n)]
-        if all(v != 0 for v in vals) and all(x != 1 for x in raw):
-            sig = 0
-            for hi, (coeffs, const) in enumerate(planes):
-                if sum(a * b for a, b in zip(coeffs, raw)) > const:
-                    sig |= 1 << hi
-            seed = sig
-    cells = {}
-    start_mask = mask_for(seed)
-    cells[seed] = start_mask
-    queue = [seed]
-    while queue:
-        sig = queue.pop()
-        mask = cells[sig]
-        for hi in range(nw):
-            shared = mask & zeros[hi]
-            if not shared:
-                continue
-            other = sig ^ (1 << hi)
-            if other in cells:
-                continue
-            if affine_rank(shared, n - 1) != n - 1:
-                continue
-            cells[other] = mask_for(other)
-            queue.append(other)
-    out = []
+        if (sum(raw) > 2 and all(x != 1 for x in raw)
+                and all(sum(raw[i] for i in s) != 1 for s in walls)):
+            break
+    nw = len(walls)
     items = []
-    for sig, mask in cells.items():
-        wall_sig = "".join("+" if (sig >> i) & 1 else "-" for i in range(nw))
-        count = bin(mask).count("1")
-        sums = [0] * n
-        mm = mask
-        while mm:
-            lsb = mm & -mm
-            mm ^= lsb
-            v = vnums[lsb.bit_length() - 1]
-            for j in range(n):
-                sums[j] += v[j]
-        witness = tuple(Fraction(s, den * count) for s in sums)
-        items.append((wall_sig, witness))
-    for idx, (sig, witness) in enumerate(sorted(items)):
-        out.append(FineChamber(n, sig, witness, idx))
-    return tuple(out)
+    for sig, mask in cells.top_cells(cells.sigbits(raw), range(nw), n).items():
+        signs = "".join("+" if (sig >> i) & 1 else "-" for i in range(nw))
+        items.append((signs, cells.witness(mask)))
+    return tuple(FineChamber(n, signs, witness, idx)
+                 for idx, (signs, witness) in enumerate(sorted(items)))
 
 
 def locate_weight(A):

@@ -1,9 +1,13 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from chamberkit.cli import main, run
+from chamberkit.cli import _build_parser, main, run
 from chamberkit.ratutil import parse_vector
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -138,7 +142,9 @@ def test_input_errors(capsys):
     out = json.loads(capsys.readouterr().out)
     assert "error" in out
     assert main(["stability", "--weights", "1/2,1/2"]) == 1
-    assert main(["chambers", "--n", "3"]) == 1 or True  # guard msg below
+    capsys.readouterr()
+    assert main(["chambers", "--n", "3"]) == 1
+    assert _one_error(capsys) == "n must be an integer >= 4"
     assert main(["invert", "--mode", "comp", "--coeffs", "0,1,1",
                  "--order", "1"]) == 1
     assert main(["census", "--space", "dm", "--n", "5"]) == 1
@@ -149,7 +155,20 @@ def test_input_errors(capsys):
 def _one_error(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
-    assert "error" in json.loads(lines[0])
+    report = json.loads(lines[0])
+    assert "error" in report
+    return report["error"]
+
+
+def test_out_writes_the_json_report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    argv = ["--out", str(path), "chambers", "--n", "4"]
+    assert main(argv) == 0
+    assert path.read_text() == capsys.readouterr().out
+    assert json.loads(path.read_text())["results"]["total"] == 53
+    assert main(["--format", "table"] + argv) == 0
+    assert "results.total: 53" in capsys.readouterr().out
+    assert json.loads(path.read_text())["results"]["total"] == 53
 
 
 def test_chamber_guard_n7(capsys):
@@ -205,3 +224,86 @@ def test_golden_lm5():
     payload = json.load(open(path))
     assert payload["census"]["by_dim"]["0"] == 13
     assert payload["certificates"][0]["check"] == "chi-permutohedral"
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing argv over the parser's own vocabulary: every input ends in one JSON
+# object on stdout and exit code 0, 1 or 2, never in a traceback.
+
+# verify is slow even on valid input.  -h prints help text and --format table
+# a key/value listing instead of a JSON report; --out and --save write files.
+_FUZZ_SKIP_COMMANDS = {"verify"}
+_FUZZ_SKIP_OPTIONS = {"-h", "--help", "--format", "--out", "--save"}
+
+
+def _fuzz_vocabulary():
+    """Subcommand -> its option actions, read from the CLI parser."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings
+                   and not set(a.option_strings) & _FUZZ_SKIP_OPTIONS]
+            for name, p in sub.choices.items()
+            if name not in _FUZZ_SKIP_COMMANDS}
+
+
+_FUZZ_COMMANDS = _fuzz_vocabulary()
+_FUZZ_INTS = st.sampled_from(["-1", "0", "3", "4", "5", "x", ""])
+_FUZZ_ENTRIES = st.sampled_from(["0", "1", "-1", "1/2", "1/3", "2/3", "2/5",
+                                 "3/5", "1/6", "1/0", "x", "", "nan", "1e2"])
+_FUZZ_TEXT = st.one_of(
+    st.lists(_FUZZ_ENTRIES, max_size=5).map(",".join),
+    st.sampled_from(["1/2,1/2,1/2,1/2", "3/5,1/3,2/5,1/3,1/3", "0,1,1",
+                     "1,1,1,1,1", "1,1,1/3,1/3,1/3", "{1,2}|{3}|{4}|{5}",
+                     "{1}|{1}", "{}", "{1,x}", "|"]))
+
+
+def _fuzz_values(action):
+    if action.nargs == 0:
+        return st.just([])
+    if action.choices:
+        values = st.sampled_from(sorted(action.choices) + ["bogus"])
+    else:
+        values = _FUZZ_INTS if action.type is int else _FUZZ_TEXT
+    return values.map(lambda v: [v])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    name = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    actions = _FUZZ_COMMANDS[name]
+    # required options mostly present, so that most inputs reach the handler
+    chosen = [] if draw(st.integers(0, 9)) == 0 else [
+        a for a in actions if a.required]
+    chosen += draw(st.lists(st.sampled_from(actions), max_size=3))
+    argv = [name]
+    for action in chosen:
+        argv.append(draw(st.sampled_from(action.option_strings)))
+        argv += draw(_fuzz_values(action))
+    return argv
+
+
+def _slow_xi(argv):
+    """xi at a point of the carrier sum = 2 solves an exact LP per wall
+    through the point, seconds each."""
+    if argv[0] != "xi":
+        return False
+    for flag, text in zip(argv, argv[1:]):
+        if flag == "--point":
+            try:
+                if sum(parse_vector(text)) == 2:
+                    return True
+            except (ValueError, ZeroDivisionError):
+                pass
+    return False
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_one_json_object(argv):
+    assume(not _slow_xi(argv))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert isinstance(json.loads(out.getvalue()), dict)

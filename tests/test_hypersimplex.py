@@ -8,11 +8,12 @@ from chamberkit import hypersimplex as hs
 from chamberkit.exactgeom import EQ, LinConstraint, eq, ge, gt, le, lp_feasible, lt
 from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
                                      _reduced_rows, build_arrangement,
-                                     chamber_adjacency, chamber_complex,
+                                     chamber_complex,
                                      enumerate_admissible, enumerate_chambers,
                                      hypersimplex_polytope,
                                      independent_cell_census, omega_set,
                                      permute_point, rejected_cut_families)
+from chamberkit.weights import _fine_planes, _fine_vertices
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -135,6 +136,26 @@ def test_vertices_match_oracle():
         assert fast == _enumerate_vertices_oracle(build_arrangement(n))
         sizes[n] = len(fast)
     assert sizes == {4: 7, 5: 20, 6: 142}
+
+
+def test_fine_vertices_on_carrier_match_vertices():
+    # the unfiltered search of the weight region, cut back to sum = 2, finds
+    # the same 0-cells as the crossing-wall search of D(n)
+    sizes = {}
+    for n in (4, 5):
+        fine = _fine_vertices(_fine_planes(n), n)
+        carrier = [v for v in fine if sum(v) == 2]
+        assert carrier == _enumerate_vertices(n)
+        sizes[n] = (len(carrier), len(fine))
+    assert sizes == {4: (7, 16), 5: (20, 137)}
+
+
+def test_vertex_rank_matches_wall_dimension():
+    # dim from the walls through a cell against the affine rank of its 0-cells
+    for n in (4, 5):
+        cc = chamber_complex(n)
+        for ch in cc.chambers:
+            assert cc._cells.rank(cc._mask_of[ch.signs], n) == ch.dim
 
 
 @pytest.mark.parametrize("interior_only", [False, True])
