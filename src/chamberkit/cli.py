@@ -562,7 +562,7 @@ def _cmd_census(args):
         return ({"space": args.space, "n": args.n}, results, [], notes, 0)
     payload = load_census(args.check)
     if payload["space"] != args.space or payload["n"] != args.n:
-        raise _CliError("census file is for --space %s --n %d"
+        raise _CliError("census file is for --space %s --n %r"
                         % (payload["space"], payload["n"]))
     fresh, _certs = _census_payload(args.space, args.n)
     match = fresh == payload["census"]
@@ -615,7 +615,6 @@ def _build_parser():
     p = sub.add_parser("strata")
     p.add_argument("--space", choices=("dm", "lm"), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--census", action="store_true", default=True)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_strata)
 

@@ -9,7 +9,8 @@ The weight domain is cut by the walls sum_{i in S} a_i = 1 over all S with
 2 <= |S| <= n-2 (both a subset and its complement count, since the carrier
 identification is unavailable off the slice sum a = 2).  Cells are identified
 by their wall sign vectors; xi maps a carrier chamber to every weight-domain
-cell whose closure contains it.
+cell whose closure contains it, read off the local cone at the chamber's
+witness by exact linear algebra.
 """
 
 import random
@@ -18,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .exactgeom import eq, gt, le, lp_feasible, lt
-from .hypersimplex import CellEngine, _solutions, canonical_subset
+from .hypersimplex import (CellEngine, _rank, _solutions, build_arrangement,
+                           canonical_subset)
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -315,23 +316,6 @@ class WeightLocation:
     chamber: object  # FineChamber when full-dimensional and enumerable
 
 
-def _domain_constraints(n, open_box=False):
-    cons = [gt([1] * n, 2)]
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        cons.append(gt(list(e), 0))
-        cons.append(lt(list(e), 1) if open_box else le(list(e), 1))
-    return cons
-
-
-def _wall_constraint(n, subset, sign):
-    coeffs = [1 if i in subset else 0 for i in range(n)]
-    if sign == "0":
-        return eq(coeffs, 1)
-    return gt(coeffs, 1) if sign == "+" else lt(coeffs, 1)
-
-
 def _fine_planes(n):
     """Wall planes followed by the domain planes of D(0,n)."""
     planes = [(tuple(1 if i in s else 0 for i in range(n)), 1)
@@ -411,46 +395,86 @@ def _chamber_wall_data(chamber):
     the chamber is not on; walls the chamber lies on come in complementary
     pairs to be resolved per candidate cell.
     """
-    from .hypersimplex import build_arrangement
-
     n = chamber.n
     arr = build_arrangement(n)
-    by_subset = {}
-    for h, s in zip(arr.hyperplanes, chamber.signs):
-        if h.kind == "sum":
-            by_subset[frozenset(h.subset)] = s
+    by_subset = {h.subset: s for h, s in zip(arr.hyperplanes, chamber.signs)
+                 if h.kind == "sum"}
     walls = weight_walls(n)
     fixed = {}
     pairs = []
-    seen = set()
     for idx, s in enumerate(walls):
         canon = canonical_subset(n, s)
-        sign = by_subset[frozenset(canon)]
-        flip = frozenset(s) != frozenset(canon)
+        sign = by_subset[canon]
+        flip = canon != frozenset(s)
         if sign == "0":
-            if frozenset(canon) not in seen:
-                seen.add(frozenset(canon))
-                canon_idx = walls.index(tuple(sorted(canon)))
-                comp_idx = walls.index(tuple(sorted(set(range(n)) - set(canon))))
-                pairs.append((canon_idx, comp_idx))
+            if not flip:
+                comp = tuple(sorted(set(range(n)) - canon))
+                pairs.append((idx, walls.index(comp)))
         else:
-            if flip:
-                sign = "+" if sign == "-" else "-"
-            fixed[idx] = sign
+            fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
     return walls, fixed, pairs
 
 
 PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))
 
 
+def _local_cone(vectors):
+    """Covectors of integer vectors that are + on the first one, as (plus,
+    minus) bitmasks over the vectors.
+
+    A covector is the sign vector of (v . d) over the vectors, for some d,
+    and d matters only through r coordinates spanning the columns, r the
+    rank.  A cocircuit spans a line where r - 1 independent vectors vanish;
+    it is a point of the chart where the line's first nonzero coordinate is
+    1 and the earlier ones are 0.  Every covector + on the first vector is a
+    composition of cocircuits conformal to it, one of them + there (Bjorner,
+    Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, 3.7), so
+    lines are kept in each orientation that is not - on the first vector.
+    """
+    columns = list(zip(*vectors))
+    cols = []
+    for i in range(len(columns)):
+        if _rank([columns[j] for j in cols + [i]], len(cols) + 1) > len(cols):
+            cols.append(i)
+    r = len(cols)
+    rows = [tuple(v[i] for i in cols) for v in vectors]
+    lines = set()  # the chart points' covectors, every cocircuit among them
+    for j in range(r):
+        chart = [(co[j + 1:], -co[j]) for co in rows]
+        for t in set(map(tuple, _solutions(chart, r - 1 - j))):
+            y = [co[j] + sum(c * x for c, x in zip(co[j + 1:], t)) for co in rows]
+            plus = sum(1 << b for b, v in enumerate(y) if v > 0)
+            minus = sum(1 << b for b, v in enumerate(y) if v < 0)
+            lines.update(s for s in ((plus, minus), (minus, plus)) if not s[1] & 1)
+    found = {s for s in lines if s[0] & 1}
+    frontier = list(found)
+    full = (1 << len(vectors)) - 1
+    steps = {}  # zero set -> the distinct ways a line fills part of it
+    while frontier:
+        grown = []
+        for plus, minus in frontier:
+            free = full & ~(plus | minus)
+            if free not in steps:
+                steps[free] = {(p & free, m & free) for p, m in lines}
+            for p, m in steps[free]:
+                x = (plus | p, minus | m)
+                if x not in found:
+                    found.add(x)
+                    grown.append(x)
+        frontier = grown
+    return found
+
+
 def xi(chamber):
     """Ids (wall sign strings) of weight-domain cells whose closure holds c.
 
-    For walls where c is strict the cell sign is forced; each complementary
-    pair of walls through c admits five resolutions compatible with the open
-    domain (both zero would force the carrier, and a minus beside a zero or
-    another minus would force total weight below 2).  Candidates are pruned
-    by LP feasibility as the assignment is extended pair by pair.
+    A cell's closure holds c exactly when the cell holds w + e d for the
+    witness w of c, every small e > 0 and some d with sum(d) > 0 (by
+    convexity, d = p - w for any p in the cell).  Near the interior point w
+    the box constraints and the walls where c is strict keep their signs; a
+    wall S through c reads sign(1_S . d), since 1_S . w = 1.  So the cells
+    are the covectors + on 1 of the local cone {1, 1_S, 1_{S^c}}, each pair
+    of walls through c taking one of the five PAIR_OPTIONS.
     """
     if chamber.on_boundary:
         raise ValueError("xi is defined for chambers inside the open hypersimplex")
@@ -458,32 +482,16 @@ def xi(chamber):
     walls, fixed, pairs = _chamber_wall_data(chamber)
     if len(pairs) > MAX_XI_PAIRS:
         raise ValueError("xi guarded to chambers on at most %d walls" % MAX_XI_PAIRS)
-    base = _domain_constraints(n)
-    base.extend(_wall_constraint(n, walls[i], s) for i, s in fixed.items())
-    if not pairs:
-        sig = "".join(fixed[i] for i in range(len(walls)))
-        return (sig,)
-    found = []
-
-    def rec(level, assigned, cons):
-        if lp_feasible(cons) is None:
-            return
-        if level == len(pairs):
-            sig = []
-            for i in range(len(walls)):
-                sig.append(fixed[i] if i in fixed else assigned[i])
-            found.append("".join(sig))
-            return
-        ci, mi = pairs[level]
-        for a, b in PAIR_OPTIONS:
-            assigned[ci], assigned[mi] = a, b
-            ext = cons + [_wall_constraint(n, walls[ci], a),
-                          _wall_constraint(n, walls[mi], b)]
-            rec(level + 1, assigned, ext)
-            del assigned[ci], assigned[mi]
-
-    rec(0, {}, list(base))
-    return tuple(sorted(found))
+    pair_walls = [w for pair in pairs for w in pair]
+    vectors = [(1,) * n] + [tuple(int(i in walls[w]) for i in range(n))
+                            for w in pair_walls]
+    sig = [fixed.get(i) for i in range(len(walls))]
+    cells = []
+    for plus, minus in _local_cone(vectors):
+        for bit, w in enumerate(pair_walls, 1):
+            sig[w] = "+" if plus >> bit & 1 else "-" if minus >> bit & 1 else "0"
+        cells.append("".join(sig))
+    return tuple(sorted(cells))
 
 
 def facet_cover_count(chamber, k):
@@ -491,30 +499,16 @@ def facet_cover_count(chamber, k):
 
     Such a cell keeps exactly one wall of each complementary pair through c
     at zero (keeping both forces the carrier; keeping none leaves the
-    dimension too high), and the partner wall is then forced positive.
+    dimension too high), and the partner wall is then forced positive: the
+    xi(c) cells whose every pair reads (0,+) or (+,0).
     """
     if chamber.on_boundary:
         raise ValueError("facet covers are defined for interior chambers")
-    n = chamber.n
-    walls, fixed, pairs = _chamber_wall_data(chamber)
+    pairs = _chamber_wall_data(chamber)[2]
     if k != len(pairs):
         raise ValueError("chamber lies on %d walls, not %d" % (len(pairs), k))
-    if k == 0:
-        return 1
-    if k > MAX_XI_PAIRS:
-        raise ValueError("facet cover count guarded to k <= %d" % MAX_XI_PAIRS)
-    base = _domain_constraints(n)
-    base.extend(_wall_constraint(n, walls[i], s) for i, s in fixed.items())
-    count = 0
-    for choice in range(1 << k):
-        cons = list(base)
-        for level, (ci, mi) in enumerate(pairs):
-            zi, pi = (ci, mi) if (choice >> level) & 1 else (mi, ci)
-            cons.append(_wall_constraint(n, walls[zi], "0"))
-            cons.append(_wall_constraint(n, walls[pi], "+"))
-        if lp_feasible(cons) is not None:
-            count += 1
-    return count
+    return sum(1 for sig in xi(chamber)
+               if all(sig[a] + sig[b] in ("0+", "+0") for a, b in pairs))
 
 
 def permute_weight_signs(n, perm, signs):

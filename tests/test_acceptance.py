@@ -142,7 +142,7 @@ def test_criterion_07_lm_census():
         # an independent coordinate-label count agrees
         assert c.by_dim[0] == 13
         assert lm_point_label_census_n5()["total"] == 13
-        text, code = cli_run(["strata", "--space", "lm", "--n", "5", "--census"])
+        text, code = cli_run(["strata", "--space", "lm", "--n", "5"])
         assert code == 0
         report = json.loads(text)
         assert report["results"]["census"]["by_dim"]["0"] == 13

@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from chamberkit.hypersimplex import Chamber, build_arrangement, chamber_complex
-from chamberkit.weights import (ATYPICAL, STABLE, STRICTLY_SEMISTABLE, TYPICAL,
-                                UNSTABLE, CoincidencePartition, FineChamber,
+from chamberkit.exactgeom import eq, gt, le, lp_feasible, lt
+from chamberkit.hypersimplex import (Chamber, _rank, build_arrangement,
+                                     chamber_complex)
+from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
+                                STRICTLY_SEMISTABLE, TYPICAL, UNSTABLE,
+                                CoincidencePartition, FineChamber,
                                 Linearisation, WeightVector,
+                                _chamber_wall_data,
                                 classify_linearisation, coarse_walls,
                                 delete_coordinate, facet_cover_count,
                                 fine_chambers, has_unit_subset, locate_weight,
@@ -311,3 +315,148 @@ def test_facet_cover_k2_at_n6():
     assert zero_labels == ["sum{1,2}=1", "sum{1,3,4}=1"]
     ch = Chamber(6, signs, 3, pt, False, -1)
     assert facet_cover_count(ch, 2) == 4
+
+
+# ---------------------------------------------------------------------------
+# xi and facet covers against exact-LP oracles.
+
+
+def _domain_constraints(n):
+    cons = [gt([1] * n, 2)]
+    for i in range(n):
+        e = [0] * n
+        e[i] = 1
+        cons.append(gt(list(e), 0))
+        cons.append(le(list(e), 1))
+    return cons
+
+
+def _wall_constraint(n, subset, sign, rhs=1):
+    coeffs = [1 if i in subset else 0 for i in range(n)]
+    if sign == "0":
+        return eq(coeffs, rhs)
+    return gt(coeffs, rhs) if sign == "+" else lt(coeffs, rhs)
+
+
+def _xi_lp(chamber):
+    """xi by LP feasibility in the weight domain, the assignment extended
+    pair by pair and pruned as soon as it is infeasible."""
+    n = chamber.n
+    walls, fixed, pairs = _chamber_wall_data(chamber)
+    base = _domain_constraints(n)
+    base.extend(_wall_constraint(n, walls[i], s) for i, s in fixed.items())
+    found = []
+
+    def rec(level, assigned, cons):
+        if lp_feasible(cons) is None:
+            return
+        if level == len(pairs):
+            found.append("".join(fixed[i] if i in fixed else assigned[i]
+                                 for i in range(len(walls))))
+            return
+        ci, mi = pairs[level]
+        for a, b in PAIR_OPTIONS:
+            assigned[ci], assigned[mi] = a, b
+            rec(level + 1, assigned,
+                cons + [_wall_constraint(n, walls[ci], a),
+                        _wall_constraint(n, walls[mi], b)])
+            del assigned[ci], assigned[mi]
+
+    rec(0, {}, base)
+    return tuple(sorted(found))
+
+
+def _xi_local_lp(chamber):
+    """xi from the local cone at the witness: one LP in R^n per resolution of
+    the wall pairs, for a direction d with those signs, scaled to sum(d) = 1."""
+    n = chamber.n
+    walls, fixed, pairs = _chamber_wall_data(chamber)
+    found = []
+    for choice in product(PAIR_OPTIONS, repeat=len(pairs)):
+        sig = dict(fixed)
+        cons = [eq([1] * n, 1)]
+        for (ci, mi), (a, b) in zip(pairs, choice):
+            sig[ci], sig[mi] = a, b
+            cons.append(_wall_constraint(n, walls[ci], a, 0))
+            cons.append(_wall_constraint(n, walls[mi], b, 0))
+        if lp_feasible(cons) is not None:
+            found.append("".join(sig[i] for i in range(len(walls))))
+    return tuple(sorted(found))
+
+
+def _wall_count(cc, ch):
+    return ch.wall_incidence(cc.arrangement)
+
+
+def _check_against_lp_oracle(ch):
+    pairs = _chamber_wall_data(ch)[2]
+    oracle = _xi_lp(ch)
+    assert xi(ch) == oracle
+    covers = sum(1 for sig in oracle
+                 if all({sig[a], sig[b]} == {"0", "+"} for a, b in pairs))
+    assert facet_cover_count(ch, len(pairs)) == covers
+
+
+def test_xi_matches_lp_oracle_n4():
+    cc = chamber_complex(4, True)
+    for ch in cc.chambers:
+        _check_against_lp_oracle(ch)
+
+
+def test_xi_matches_lp_oracle_n5_sample():
+    cc = chamber_complex(5, True)
+    rng = random.Random(4099)
+    for k, count in ((1, 8), (2, 1)):
+        cells = [c for c in cc.chambers if _wall_count(cc, c) == k]
+        for ch in rng.sample(cells, count):
+            _check_against_lp_oracle(ch)
+
+
+def test_xi_matches_local_lp_on_dependent_cell_n6():
+    # a point of D(6) on the walls {1,3,5}, {1,3,6}, {1,4,5} and {1,4,6},
+    # whose indicator vectors are dependent: 1_135 + 1_146 = 1_136 + 1_145
+    pt = (F(2, 3), F(2, 3), F(1, 4), F(1, 4), F(1, 12), F(1, 12))
+    arr = build_arrangement(6)
+    signs = arr.signs_at(pt)
+    zero_labels = [h.label for h, s in zip(arr.hyperplanes, signs) if s == "0"]
+    assert zero_labels == ["sum{1,3,5}=1", "sum{1,3,6}=1", "sum{1,4,5}=1",
+                           "sum{1,4,6}=1"]
+    ch = Chamber(6, signs, 2, pt, False, -1)
+    image = xi(ch)
+    assert len(image) == 285
+    assert image == _xi_local_lp(ch)
+
+
+def test_xi_sizes_on_every_interior_cell_n5():
+    cc = chamber_complex(5, True)
+    for ch in cc.chambers:
+        k = _wall_count(cc, ch)
+        assert len(xi(ch)) == 5 ** k
+        assert facet_cover_count(ch, k) == 2 ** k
+
+
+def test_xi_euler_relation_on_dependent_cells_n6():
+    # The xi(c) cells are the faces of an affine arrangement filling the
+    # slice {sum(d) = 1} of R^n, so their Euler characteristic is (-1)^(n-1).
+    n = 6
+    cc = chamber_complex(n, True)
+    rows = [[int(i in s) for i in range(n)] for s in weight_walls(n)]
+    ones = [1] * n
+    dependent = 0
+    for ch in cc.chambers:
+        subsets = [h.subset for h in ch.zero_walls(cc.arrangement)
+                   if h.kind == "sum"]
+        k = len(subsets)
+        if k > 6 or _rank([ones] + [[int(i in s) for i in range(n)]
+                                    for s in subsets], n) == k + 1:
+            continue
+        dependent += 1
+        dims = {}
+        euler = 0
+        for sig in xi(ch):
+            zero = tuple(i for i, s in enumerate(sig) if s == "0")
+            if zero not in dims:
+                dims[zero] = n - _rank([ones] + [rows[i] for i in zero], n)
+            euler += (-1) ** dims[zero]
+        assert euler == (-1) ** (n - 1), ch.index
+    assert dependent == 315
