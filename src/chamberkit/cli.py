@@ -249,12 +249,19 @@ _SIGN_NOTE = {
 
 def _census_payload(space, n):
     if space == "dm":
-        census = st.dm_strata(n)
-        chi = census.chi_strata_sum()
+        st._check_tree_n(n)
+        by_codim = {}
+        by_type = {}
+        chi = 0
+        for (codim, vals), count in st.dm_valence_census(n).items():
+            by_codim[codim] = by_codim.get(codim, 0) + count
+            ts = st._type_string(vals)
+            by_type[ts] = by_type.get(ts, 0) + count
+            chi += count * st.chi_stratum(vals)
         return {
-            "by_codim": {str(k): v for k, v in sorted(census.by_codim.items())},
-            "by_type": dict(sorted(census.by_type.items())),
-            "total": census.total,
+            "by_codim": {str(k): v for k, v in sorted(by_codim.items())},
+            "by_type": dict(sorted(by_type.items())),
+            "total": sum(by_codim.values()),
             "chi": chi,
         }, [{"check": "chi-fibration", "value": chi,
              "expected": st.chi_mbar(n), "pass": chi == st.chi_mbar(n)}]

@@ -12,7 +12,7 @@ from .strata import dm_valence_census, permutohedron_faces
 
 MAX_ORDER = 12
 MAX_PERM_ORDER = 9
-MAX_STRATA_ORDER = 8
+MAX_STRATA_ORDER = MAX_ORDER
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from itertools import combinations, product
 from math import comb, factorial
 
 MAX_TREE_N = 8
-MAX_CENSUS_N = 9
+MAX_CENSUS_N = 13
 MAX_LM_N = 8
 MAX_PERM_M = 8
 
@@ -29,6 +29,15 @@ def chi_open_moduli(m):
     if m < 3:
         raise ValueError("need at least 3 marked points")
     return (-1) ** (m - 3) * factorial(m - 3)
+
+
+def chi_stratum(valences):
+    """Euler characteristic of an open stratum: the product of the open
+    moduli spaces at its vertices, one per valence."""
+    prod = 1
+    for v in valences:
+        prod *= chi_open_moduli(v)
+    return prod
 
 
 def _type_string(valences):
@@ -149,53 +158,58 @@ def _laminar_families(n, visit):
     rec([], (1 << top) - 1)
 
 
-def _mask_valences(n, fam):
-    if not fam:
-        return (n,)
-    order = sorted(range(len(fam)), key=lambda i: fam[i].bit_count())
-    child_count = [0] * len(fam)
-    child_size = [0] * len(fam)
-    root_count = 0
-    root_size = 0
-    for pos, i in enumerate(order):
-        mi = fam[i]
-        parent = -1
-        for j in order[pos + 1:]:
-            mj = fam[j]
-            if mi != mj and mi & ~mj == 0:
-                parent = j
-                break
-        if parent >= 0:
-            child_count[parent] += 1
-            child_size[parent] += mi.bit_count()
-        else:
-            root_count += 1
-            root_size += mi.bit_count()
-    vals = [fam[i].bit_count() - child_size[i] + child_count[i] + 1
-            for i in range(len(fam))]
-    vals.append(n - root_size + root_count)
-    return tuple(sorted(vals, reverse=True))
+def _merge(a, b):
+    """Product of two {(codim, valences): count} censuses of disjoint parts."""
+    out = {}
+    for (ca, va), na in a.items():
+        for (cb, vb), nb in b.items():
+            key = (ca + cb, tuple(sorted(va + vb, reverse=True)))
+            out[key] = out.get(key, 0) + na * nb
+    return out
+
+
+@lru_cache(maxsize=None)
+def _blocks(m, k):
+    """Census of the ways to split m labelled legs into k unordered blocks,
+    each carrying a rooted stable subtree (see _branch)."""
+    if k == 0:
+        return {(0, ()): 1} if m == 0 else {}
+    out = {}
+    # the block holding the smallest leg has s legs: C(m - 1, s - 1) choices
+    for s in range(1, m - k + 2):
+        ways = comb(m - 1, s - 1)
+        for key, count in _merge(_branch(s), _blocks(m - s, k - 1)).items():
+            out[key] = out.get(key, 0) + ways * count
+    return out
+
+
+@lru_cache(maxsize=None)
+def _branch(m):
+    """Census of what hangs below one edge carrying m legs: a bare leg when
+    m = 1, else a vertex of valence j + 1 over j >= 2 blocks, the edge adding
+    one to the codimension."""
+    if m == 1:
+        return {(0, ()): 1}
+    out = {}
+    for j in range(2, m + 1):
+        for key, count in _merge({(1, (j + 1,)): 1}, _blocks(m, j)).items():
+            out[key] = out.get(key, 0) + count
+    return out
 
 
 @lru_cache(maxsize=None)
 def dm_valence_census(n):
     """Census of boundary strata keyed by (codim, valence multiset).
 
-    Light-weight counting used by the series module; ranges past the
-    explicit tree enumeration up to n = 9.
+    Counts the stable trees without listing them, up to n = 13.  A tree
+    hangs from leg 1: the vertex carrying leg 1 splits the other n - 1 legs
+    into k >= 2 blocks and has valence k + 1, so the census is _branch(n - 1)
+    with the edge above that vertex, which is leg 1, taken out of codim.
     """
     if not isinstance(n, int) or n < 3 or n > MAX_CENSUS_N:
         raise ValueError("n must be an integer with 3 <= n <= %d" % MAX_CENSUS_N)
-    if n == 3:
-        return {(0, (3,)): 1}
-    census = {}
-
-    def visit(fam):
-        key = (len(fam), _mask_valences(n, fam))
-        census[key] = census.get(key, 0) + 1
-
-    _laminar_families(n, visit)
-    return dict(sorted(census.items()))
+    return dict(sorted(((codim - 1, vals), count)
+                       for (codim, vals), count in _branch(n - 1).items()))
 
 
 @dataclass(frozen=True)
@@ -210,13 +224,7 @@ class StrataCensus:
         return len(self.trees)
 
     def chi_strata_sum(self):
-        total = 0
-        for t in self.trees:
-            prod = 1
-            for v in t.valences():
-                prod *= chi_open_moduli(v)
-            total += prod
-        return total
+        return sum(chi_stratum(t.valences()) for t in self.trees)
 
 
 def _mask_to_split(mask):
@@ -252,11 +260,8 @@ def chi_mbar(n):
         return 1
     total = 0
     for (codim, vals), count in dm_valence_census(n - 1).items():
-        prod = 1
-        for v in vals:
-            prod *= chi_open_moduli(v)
         # fiber over this stratum: nodal curve with codim+1 components
-        total += count * prod * (codim + 2)
+        total += count * chi_stratum(vals) * (codim + 2)
     return total
 
 
@@ -364,10 +369,7 @@ class LMChain:
         return _type_string(c + 2 for c in self.cluster_counts())
 
     def chi_term(self):
-        prod = 1
-        for c in self.cluster_counts():
-            prod *= chi_open_moduli(c + 2)
-        return prod
+        return chi_stratum(c + 2 for c in self.cluster_counts())
 
 
 def _partitions_of(elems):

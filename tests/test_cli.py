@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamberkit.cli import _build_parser, main, run
 from chamberkit.ratutil import parse_vector
+from chamberkit.strata import dm_strata
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -48,13 +49,15 @@ def test_divisors_example():
 
 
 def test_invert_comp_strata():
-    report, code = run_json(["invert", "--mode", "comp", "--method",
-                             "strata", "--coeffs", "0,1,1,1", "--order", "6"])
-    assert code == 0
-    assert report["results"]["direct"] == report["results"]["census"]
-    assert report["results"]["coefficients"] == report["results"]["census"]
-    assert report["certificates"][0]["check"] == "oracle-match"
-    assert report["certificates"][0]["pass"]
+    for order in ("6", "12"):
+        report, code = run_json(["invert", "--mode", "comp", "--method",
+                                 "strata", "--coeffs", "0,1,1,1",
+                                 "--order", order])
+        assert code == 0
+        assert report["results"]["direct"] == report["results"]["census"]
+        assert report["results"]["coefficients"] == report["results"]["census"]
+        assert report["certificates"][0]["check"] == "oracle-match"
+        assert report["certificates"][0]["pass"]
 
 
 def test_invert_mult_both_vectors():
@@ -116,6 +119,19 @@ def test_strata_reports():
     assert sum(1 for s in strata if s["outgrowth"] is None) == 1
 
 
+def test_dm_census_report_matches_trees():
+    # the report counts by recursion; the explicit trees must agree
+    for n in range(4, 8):
+        census = run_json(["strata", "--space", "dm", "--n", str(n)])[0]
+        trees = dm_strata(n)
+        assert census["results"]["census"] == {
+            "by_codim": {str(k): v for k, v in sorted(trees.by_codim.items())},
+            "by_type": dict(sorted(trees.by_type.items())),
+            "total": trees.total,
+            "chi": trees.chi_strata_sum(),
+        }
+
+
 def test_verify_suite():
     report, code = run_json(["verify", "--suite", "strata", "--n", "5"])
     assert code == 0
@@ -150,6 +166,9 @@ def test_input_errors(capsys):
     assert main(["census", "--space", "dm", "--n", "5"]) == 1
     assert main(["xi", "--point", "1,1,0,0,0"]) == 1
     assert main(["strata", "--space", "dm", "--n", "5", "--census"]) == 1
+    assert main(["strata", "--space", "dm", "--n", "9"]) == 1
+    assert main(["invert", "--mode", "comp", "--method", "strata",
+                 "--coeffs", "0,1", "--order", "13"]) == 1
     assert main(["nonsense"]) == 1
 
 

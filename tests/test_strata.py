@@ -1,20 +1,22 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
 from chamberkit.strata import (EXTENSION, GENERIC, INF, ONE, TORIC, ZERO,
                                DegenerationLabel, LMChain, StableTree,
-                               chi_mbar, chi_open_moduli, classify_outgrowth,
+                               chi_mbar, chi_open_moduli, chi_stratum,
+                               classify_outgrowth,
                                degeneration_label, dm_strata,
                                dm_valence_census, fubini, label_is_consistent,
                                lm_census, lm_point_label_census_n5, lm_strata,
                                permute_lm_chain, permutohedron_faces,
                                reduction_divisors, relabel_tree,
                                wonderful_building_set,
-                               wonderful_divisor_census, _ordered_partitions)
+                               wonderful_divisor_census, _laminar_families,
+                               _ordered_partitions)
 
 
 def test_dm_counts():
@@ -33,7 +35,77 @@ def test_dm_guards():
     with pytest.raises(ValueError):
         dm_strata(9)
     with pytest.raises(ValueError):
-        dm_valence_census(10)
+        dm_valence_census(14)
+    assert dm_valence_census(13)
+
+
+def _mask_valences(n, fam):
+    # vertex valences of the tree whose splits are the leg bitmasks in fam
+    if not fam:
+        return (n,)
+    order = sorted(range(len(fam)), key=lambda i: fam[i].bit_count())
+    child_count = [0] * len(fam)
+    child_size = [0] * len(fam)
+    root_count = 0
+    root_size = 0
+    for pos, i in enumerate(order):
+        mi = fam[i]
+        parent = -1
+        for j in order[pos + 1:]:
+            mj = fam[j]
+            if mi != mj and mi & ~mj == 0:
+                parent = j
+                break
+        if parent >= 0:
+            child_count[parent] += 1
+            child_size[parent] += mi.bit_count()
+        else:
+            root_count += 1
+            root_size += mi.bit_count()
+    vals = [fam[i].bit_count() - child_size[i] + child_count[i] + 1
+            for i in range(len(fam))]
+    vals.append(n - root_size + root_count)
+    return tuple(sorted(vals, reverse=True))
+
+
+def _census_oracle(n):
+    """The census by listing every laminar family of splits."""
+    census = {}
+
+    def visit(fam):
+        key = (len(fam), _mask_valences(n, fam))
+        census[key] = census.get(key, 0) + 1
+
+    _laminar_families(n, visit)
+    return census
+
+
+def test_dm_census_matches_laminar_oracle():
+    for n in range(3, 10):
+        assert dm_valence_census(n) == _census_oracle(n)
+
+
+def _schroeder(m):
+    # stable trees with m + 1 legs (Schroeder's fourth problem, OEIS A000311):
+    # a(m+1) = (m+2) a(m) + 2 sum_{k=2}^{m-1} C(m,k) a(k) a(m-k+1)
+    a = [0, 1, 1]
+    for j in range(2, m):
+        a.append((j + 2) * a[j] + 2 * sum(comb(j, k) * a[k] * a[j - k + 1]
+                                          for k in range(2, j)))
+    return a[m]
+
+
+def test_dm_census_totals_are_schroeder_numbers():
+    for n in range(3, 14):
+        assert sum(dm_valence_census(n).values()) == _schroeder(n - 1)
+    assert _schroeder(12) == 188666182784
+
+
+def test_dm_census_euler_matches_fibration():
+    for n in range(3, 14):
+        chi = sum(count * chi_stratum(vals)
+                  for (_codim, vals), count in dm_valence_census(n).items())
+        assert chi == chi_mbar(n)
 
 
 def test_dm_census_matches_trees():
