@@ -43,6 +43,22 @@ def _parse_vec(text):
         raise _CliError("bad rational vector %r: %s" % (text, exc))
 
 
+def _locate(cc, point):
+    try:
+        return cc.locate(point)
+    except LookupError as exc:
+        raise _CliError(str(exc))
+
+
+def _cert(check, value, expected):
+    return {"check": check, "value": value, "expected": expected,
+            "pass": value == expected}
+
+
+def _braces(items):
+    return "{%s}" % ",".join(map(str, items))
+
+
 def _report(command, inputs, results, certificates, notes):
     return {
         "schema_version": SCHEMA_VERSION,
@@ -77,8 +93,7 @@ def _render(report, fmt):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (inputs, results, certificates, notes,
-# exit_code)
+# subcommand handlers; each returns (inputs, results, certificates, notes)
 
 
 def _chamber_json(cc, ch):
@@ -92,32 +107,26 @@ def _chamber_json(cc, ch):
     }
 
 
+def _dim_counts(cc):
+    """Cells by dimension (string keys) and their Euler sum."""
+    counts = cc.counts_by_dim
+    return ({str(d): c for d, c in counts.items()},
+            sum((-1) ** d * c for d, c in counts.items()))
+
+
 def _cmd_chambers(args):
     cc = hs.chamber_complex(args.n, interior_only=args.interior_only)
-    counts = {}
-    for ch in cc.chambers:
-        counts[ch.dim] = counts.get(ch.dim, 0) + 1
-    euler = sum((-1) ** d * c for d, c in counts.items())
+    counts, euler = _dim_counts(cc)
     expected = (-1) ** (args.n - 1) if args.interior_only else 1
-    results = {
-        "n": args.n,
-        "counts_by_dim": {str(d): counts[d] for d in sorted(counts)},
-        "total": len(cc.chambers),
-    }
+    results = {"n": args.n, "counts_by_dim": counts,
+               "total": len(cc.chambers)}
     if args.list:
         results["chambers"] = [_chamber_json(cc, ch) for ch in cc.chambers]
     if args.locate:
-        point = _parse_vec(args.locate)
-        try:
-            ch = cc.locate(point)
-        except (ValueError, LookupError) as exc:
-            raise _CliError(str(exc))
+        ch = _locate(cc, _parse_vec(args.locate))
         results["located"] = _chamber_json(cc, ch)
-    certs = [{"check": "euler-characteristic", "value": euler,
-              "expected": expected, "pass": euler == expected}]
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return ({"n": args.n, "interior_only": args.interior_only},
-            results, certs, [], code)
+    return ({"n": args.n, "interior_only": args.interior_only}, results,
+            [_cert("euler-characteristic", euler, expected)], [])
 
 
 def _cmd_admissible(args):
@@ -134,51 +143,37 @@ def _cmd_admissible(args):
             "CUTS": sum(1 for p in polys if p.kind == "CUTS"),
         },
     }
-    certs = [{"check": "full-present", "value": results["counts"]["FULL"],
-              "expected": 1, "pass": results["counts"]["FULL"] == 1}]
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return {"n": args.n}, results, certs, [], code
+    certs = [_cert("full-present", results["counts"]["FULL"], 1)]
+    return {"n": args.n}, results, certs, []
 
 
 def _cmd_omega(args):
     point = _parse_vec(args.point)
     n = len(point)
     cc = hs.chamber_complex(n)
-    try:
-        ch = cc.locate(point)
-    except (ValueError, LookupError) as exc:
-        raise _CliError(str(exc))
+    ch = _locate(cc, point)
     ids = hs.omega_set(ch)
     results = {
         "n": n,
         "chamber": _chamber_json(cc, ch),
         "omega": list(ids),
     }
-    certs = [{"check": "full-member", "value": "FULL" in ids,
-              "expected": not ch.on_boundary,
-              "pass": ("FULL" in ids) == (not ch.on_boundary)}]
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return {"point": _fmt_vec(point)}, results, certs, [], code
+    certs = [_cert("full-member", "FULL" in ids, not ch.on_boundary)]
+    return {"point": _fmt_vec(point)}, results, certs, []
 
 
 def _cmd_stability(args):
     entries = _parse_vec(args.weights)
-    try:
-        lin = wt.Linearisation(entries)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    lin = wt.Linearisation(entries)
     results = {"n": lin.n, "weights": _fmt_vec(lin.entries)}
     certs = []
     if args.partition:
-        try:
-            part = wt.parse_partition(args.partition)
-        except ValueError as exc:
-            raise _CliError(str(exc))
+        part = wt.parse_partition(args.partition)
         status, block, total = wt.stability_report(lin, part)
         results["partition"] = str(part)
         results["status"] = status
         certs.append({"check": "worst-block",
-                      "value": {"block": "{%s}" % ",".join(map(str, block)),
+                      "value": {"block": _braces(block),
                                 "total": _fmt_frac(total)},
                       "pass": True})
     cls = wt.classify_linearisation(lin)
@@ -190,7 +185,7 @@ def _cmd_stability(args):
         prof = wt.semistable_profile(lin)
         results["semistable_profile"] = [str(p) for p in prof]
     return ({"weights": _fmt_vec(entries),
-             "partition": args.partition}, results, certs, [], 0)
+             "partition": args.partition}, results, certs, [])
 
 
 def _cmd_xi(args):
@@ -199,10 +194,7 @@ def _cmd_xi(args):
         raise _CliError("--n disagrees with the point length")
     n = len(point)
     cc = hs.chamber_complex(n)
-    try:
-        ch = cc.locate(point)
-    except (ValueError, LookupError) as exc:
-        raise _CliError(str(exc))
+    ch = _locate(cc, point)
     if ch.on_boundary:
         raise _CliError("xi is defined on interior chambers only")
     image = wt.xi(ch)
@@ -219,8 +211,7 @@ def _cmd_xi(args):
               "pass": (len(image) == 1) == (ch.dim == n - 1)}]
     if k <= 2:
         results["facet_cover_count"] = wt.facet_cover_count(ch, k)
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return {"point": _fmt_vec(point)}, results, certs, [], code
+    return {"point": _fmt_vec(point)}, results, certs, []
 
 
 _LM_NOTE = {
@@ -230,6 +221,11 @@ _LM_NOTE = {
     "certificate": "euler identity: chi(open) + sum over strata = (n-2)!; "
                    "2 - 9 + points = 6 forces points = 13",
 }
+
+
+def _lm_notes(space, n):
+    return [_LM_NOTE] if space == "lm" and n == 5 else []
+
 
 _FACTOR_ORDER_NOTE = {
     "topic": "divisor-factor-order",
@@ -263,41 +259,31 @@ def _census_payload(space, n):
             "by_type": dict(sorted(by_type.items())),
             "total": sum(by_codim.values()),
             "chi": chi,
-        }, [{"check": "chi-fibration", "value": chi,
-             "expected": st.chi_mbar(n), "pass": chi == st.chi_mbar(n)}]
+        }, [_cert("chi-fibration", chi, st.chi_mbar(n))]
     census = st.lm_census(n)
     return {
         "by_dim": {str(k): v for k, v in sorted(census.by_dim.items())},
         "by_type": dict(sorted(census.by_type.items())),
         "total": census.total,
         "chi": census.chi,
-    }, [{"check": "chi-permutohedral", "value": census.chi,
-         "expected": factorial(n - 2), "pass": census.chi == factorial(n - 2)}]
+    }, [_cert("chi-permutohedral", census.chi, factorial(n - 2))]
 
 
 def _cmd_strata(args):
-    try:
-        results, certs = _census_payload(args.space, args.n)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    results = {"space": args.space, "n": args.n, "census": results}
-    notes = []
-    if args.space == "lm" and args.n == 5:
-        notes.append(_LM_NOTE)
+    census, certs = _census_payload(args.space, args.n)
+    results = {"space": args.space, "n": args.n, "census": census}
     if args.list:
         if args.space == "dm":
             results["strata"] = [
-                {"splits": ["{%s}" % ",".join(map(str, s)) for s in t.splits],
+                {"splits": [_braces(s) for s in t.splits],
                  "codim": t.codim, "type": t.type_string()}
                 for t in st.dm_strata(args.n).trees]
         else:
             items = []
             for c in st.lm_strata(args.n):
                 item = {
-                    "blocks": ["{%s}" % ",".join(map(str, b))
-                               for b in c.blocks],
-                    "clusters": ["|".join("{%s}" % ",".join(map(str, cl))
-                                          for cl in cls)
+                    "blocks": [_braces(b) for b in c.blocks],
+                    "clusters": ["|".join(map(_braces, cls))
                                  for cls in c.clusters],
                     "dim": c.dim,
                     "type": c.type_string(),
@@ -306,18 +292,14 @@ def _cmd_strata(args):
                 }
                 items.append(item)
             results["strata"] = items
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return ({"space": args.space, "n": args.n},
-            results, certs, notes, code)
+    return ({"space": args.space, "n": args.n}, results, certs,
+            _lm_notes(args.space, args.n))
 
 
 def _cmd_divisors(args):
     a = _parse_vec(args.from_weights)
     b = _parse_vec(args.to_weights)
-    try:
-        divs = st.reduction_divisors(a, b)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    divs = st.reduction_divisors(a, b)
     by_size = {}
     for d in divs:
         by_size[len(d.i_set)] = by_size.get(len(d.i_set), 0) + 1
@@ -335,13 +317,10 @@ def _cmd_divisors(args):
                    and len(set(b[2:])) == 1)
     if heavy_light and 5 <= n <= 7:
         wc = st.wonderful_divisor_census(n)
-        certs.append({"check": "wonderful-total", "value": wc.total,
-                      "expected": len(divs), "pass": wc.total == len(divs)})
+        certs.append(_cert("wonderful-total", wc.total, len(divs)))
         if n == 7:
             notes.append(_FACTOR_ORDER_NOTE)
-    code = 0 if all(c["pass"] for c in certs) else 2
-    return ({"from": _fmt_vec(a), "to": _fmt_vec(b)},
-            results, certs, notes, code)
+    return {"from": _fmt_vec(a), "to": _fmt_vec(b)}, results, certs, notes
 
 
 def _cmd_invert(args):
@@ -349,21 +328,15 @@ def _cmd_invert(args):
     order = args.order if args.order is not None else len(coeffs) - 1
     if order + 1 < len(coeffs):
         raise _CliError("--order smaller than the given coefficient list")
-    try:
-        f = se.ExpSeries(coeffs).truncated(order)
-    except ValueError as exc:
-        raise _CliError(str(exc))
-    try:
-        if args.mode == "mult":
-            direct = se.mult_inverse_direct(f)
-            census = (se.mult_inverse_permutohedral(f)
-                      if order <= se.MAX_PERM_ORDER else None)
-        else:
-            direct = se.comp_inverse_direct(f)
-            census = (se.comp_inverse_strata(f)
-                      if order <= se.MAX_STRATA_ORDER else None)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    f = se.ExpSeries(coeffs).truncated(order)
+    if args.mode == "mult":
+        direct = se.mult_inverse_direct(f)
+        census = (se.mult_inverse_permutohedral(f)
+                  if order <= se.MAX_PERM_ORDER else None)
+    else:
+        direct = se.comp_inverse_direct(f)
+        census = (se.comp_inverse_strata(f)
+                  if order <= se.MAX_STRATA_ORDER else None)
     if args.method == "strata" and census is None:
         raise _CliError("census route unavailable at order %d" % order)
     results = {
@@ -376,17 +349,13 @@ def _cmd_invert(args):
     notes = []
     if census is not None:
         results["census"] = _fmt_vec(census.coeffs)
-        certs.append({"check": "oracle-match",
-                      "value": census == direct, "expected": True,
-                      "pass": census == direct})
+        certs.append(_cert("oracle-match", census == direct, True))
         if args.mode == "mult":
             notes.append(_SIGN_NOTE)
     results["coefficients"] = (results["direct"] if args.method == "direct"
                                else results["census"])
-    code = 0 if all(c["pass"] for c in certs) else 2
     return ({"mode": args.mode, "method": args.method,
-             "coeffs": args.coeffs, "order": order},
-            results, certs, notes, code)
+             "coeffs": args.coeffs, "order": order}, results, certs, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +364,23 @@ def _cmd_invert(args):
 
 def _verify_chambers(n, rng, certs):
     cc = hs.chamber_complex(min(n, 5))
-    counts = {}
-    for ch in cc.chambers:
-        counts[ch.dim] = counts.get(ch.dim, 0) + 1
-    euler = sum((-1) ** d * c for d, c in counts.items())
-    certs.append({"check": "chamber-euler", "value": euler,
-                  "expected": 1, "pass": euler == 1})
+    counts, euler = _dim_counts(cc)
+    certs.append(_cert("chamber-euler", euler, 1))
     if cc.n == 5:
-        certs.append({"check": "chamber-counts-n5",
-                      "value": {str(d): counts[d] for d in sorted(counts)},
-                      "expected": {"0": 20, "1": 110, "2": 240, "3": 225,
-                                   "4": 76},
-                      "pass": counts == {0: 20, 1: 110, 2: 240, 3: 225,
-                                         4: 76}})
+        certs.append(_cert("chamber-counts-n5", counts,
+                           {"0": 20, "1": 110, "2": 240, "3": 225, "4": 76}))
     sample = rng.sample(cc.chambers, min(10, len(cc.chambers)))
     ok = all(cc.arrangement.signs_at(ch.witness) == ch.signs for ch in sample)
-    certs.append({"check": "witness-signs", "value": ok, "expected": True,
-                  "pass": ok})
+    certs.append(_cert("witness-signs", ok, True))
     polys = hs.enumerate_admissible(cc.n)
     if cc.n == 5:
         kinds = [sum(1 for p in polys if p.kind == k)
                  for k in ("FULL", "SECTION", "CUTS")]
-        certs.append({"check": "admissible-counts-n5", "value": kinds,
-                      "expected": [1, 10, 35], "pass": kinds == [1, 10, 35]})
+        certs.append(_cert("admissible-counts-n5", kinds, [1, 10, 35]))
     interior = [ch for ch in cc.chambers if not ch.on_boundary]
     omega_ok = all(hs.omega_set(ch, polys) for ch in
                    rng.sample(interior, min(6, len(interior))))
-    certs.append({"check": "omega-nonempty-interior", "value": omega_ok,
-                  "expected": True, "pass": omega_ok})
+    certs.append(_cert("omega-nonempty-interior", omega_ok, True))
 
 
 def _verify_weights(n, rng, certs):
@@ -439,8 +397,7 @@ def _verify_weights(n, rng, certs):
     tops = [c for c in cc.chambers if c.dim == 4 and not c.on_boundary]
     sample = rng.sample(tops, 6)
     ok = all(len(wt.xi(c)) == 1 for c in sample)
-    certs.append({"check": "xi-unique-top-cells", "value": ok,
-                  "expected": True, "pass": ok})
+    certs.append(_cert("xi-unique-top-cells", ok, True))
     example_point = (Fraction(3, 5), Fraction(1, 3), Fraction(2, 5),
                    Fraction(1, 3), Fraction(1, 3))
     ch = cc.locate(example_point)
@@ -451,30 +408,23 @@ def _verify_weights(n, rng, certs):
                   "pass": ch.dim == 3 and len(image) >= 2
                   and wt.facet_cover_count(ch, 1) == 2})
     fine = wt.fine_chambers(4)
-    certs.append({"check": "fine-chambers-n4", "value": len(fine),
-                  "expected": 27, "pass": len(fine) == 27})
+    certs.append(_cert("fine-chambers-n4", len(fine), 27))
 
 
 def _verify_strata(n, rng, certs):
     for m in range(4, min(n, 6) + 1):
-        chi = st.dm_strata(m).chi_strata_sum()
-        certs.append({"check": "dm-chi-%d" % m, "value": chi,
-                      "expected": st.chi_mbar(m),
-                      "pass": chi == st.chi_mbar(m)})
-        lm = st.lm_census(m).chi
-        certs.append({"check": "lm-chi-%d" % m, "value": lm,
-                      "expected": factorial(m - 2),
-                      "pass": lm == factorial(m - 2)})
-    labels = st.lm_point_label_census_n5()
-    certs.append({"check": "lm-point-labels-n5", "value": labels["total"],
-                  "expected": 13, "pass": labels["total"] == 13})
+        certs.append(_cert("dm-chi-%d" % m, st.dm_strata(m).chi_strata_sum(),
+                           st.chi_mbar(m)))
+        certs.append(_cert("lm-chi-%d" % m, st.lm_census(m).chi,
+                           factorial(m - 2)))
+    certs.append(_cert("lm-point-labels-n5",
+                       st.lm_point_label_census_n5()["total"], 13))
     for m in (5, 6, 7):
         eps = Fraction(1, 2 * (m - 2))
         divs = st.reduction_divisors((1,) * m, (1, 1) + (eps,) * (m - 2))
         wc = st.wonderful_divisor_census(m)
-        certs.append({"check": "wonderful-vs-reduction-%d" % m,
-                      "value": wc.total, "expected": len(divs),
-                      "pass": wc.total == len(divs)})
+        certs.append(_cert("wonderful-vs-reduction-%d" % m, wc.total,
+                           len(divs)))
 
 
 def _verify_series(n, rng, certs):
@@ -484,34 +434,32 @@ def _verify_series(n, rng, certs):
                         for _ in range(6)]
         s = se.ExpSeries(coeffs)
         ok = ok and se.mult_inverse_permutohedral(s) == se.mult_inverse_direct(s)
-    certs.append({"check": "mult-oracle-match", "value": ok,
-                  "expected": True, "pass": ok})
+    certs.append(_cert("mult-oracle-match", ok, True))
     ok = True
     for _ in range(3):
         coeffs = [0, 1] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                            for _ in range(4)]
         s = se.ExpSeries(coeffs)
         ok = ok and se.comp_inverse_strata(s) == se.comp_inverse_direct(s)
-    certs.append({"check": "comp-oracle-match", "value": ok,
-                  "expected": True, "pass": ok})
+    certs.append(_cert("comp-oracle-match", ok, True))
     euler_ok = all(se.euler_interior(m) == (-1) ** m for m in range(7))
-    certs.append({"check": "euler-interior-law", "value": euler_ok,
-                  "expected": True, "pass": euler_ok})
+    certs.append(_cert("euler-interior-law", euler_ok, True))
+
+
+_SUITES = {
+    "chambers": _verify_chambers,
+    "weights": _verify_weights,
+    "strata": _verify_strata,
+    "series": _verify_series,
+}
 
 
 def _cmd_verify(args):
     rng = random.Random(args.seed)
     certs = []
-    suites = (("chambers", "weights", "strata", "series")
-              if args.suite == "all" else (args.suite,))
-    runners = {
-        "chambers": _verify_chambers,
-        "weights": _verify_weights,
-        "strata": _verify_strata,
-        "series": _verify_series,
-    }
+    suites = tuple(_SUITES) if args.suite == "all" else (args.suite,)
     for name in suites:
-        runners[name](args.n, rng, certs)
+        _SUITES[name](args.n, rng, certs)
     passed = sum(1 for c in certs if c["pass"])
     results = {
         "suites": list(suites),
@@ -519,9 +467,8 @@ def _cmd_verify(args):
         "passed": passed,
         "all_green": passed == len(certs),
     }
-    code = 0 if passed == len(certs) else 2
     return ({"suite": args.suite, "n": args.n, "seed": args.seed},
-            results, certs, [], code)
+            results, certs, [])
 
 
 # ---------------------------------------------------------------------------
@@ -560,24 +507,20 @@ def load_census(path):
 def _cmd_census(args):
     if not args.save and not args.check:
         raise _CliError("census needs --save PATH or --check PATH")
-    notes = []
-    if args.space == "lm" and args.n == 5:
-        notes.append(_LM_NOTE)
+    inputs = {"space": args.space, "n": args.n}
+    notes = _lm_notes(args.space, args.n)
     if args.save:
         payload = save_census(args.save, args.space, args.n)
         results = {"saved": args.save, "census": payload["census"]}
-        return ({"space": args.space, "n": args.n}, results, [], notes, 0)
+        return inputs, results, [], notes
     payload = load_census(args.check)
     if payload["space"] != args.space or payload["n"] != args.n:
         raise _CliError("census file is for --space %s --n %r"
                         % (payload["space"], payload["n"]))
     fresh, _certs = _census_payload(args.space, args.n)
     match = fresh == payload["census"]
-    certs = [{"check": "census-match", "value": match, "expected": True,
-              "pass": match}]
     results = {"checked": args.check, "match": match}
-    return ({"space": args.space, "n": args.n}, results, certs, notes,
-            0 if match else 2)
+    return inputs, results, [_cert("census-match", match, True)], notes
 
 
 # ---------------------------------------------------------------------------
@@ -640,8 +583,7 @@ def _build_parser():
 
     p = sub.add_parser("verify")
     p.add_argument("--suite",
-                   choices=("all", "chambers", "weights", "strata",
-                            "series"), default="all")
+                   choices=("all",) + tuple(_SUITES), default="all")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
@@ -659,13 +601,13 @@ def _build_parser():
 def run(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    inputs, results, certs, notes, code = args.func(args)
+    inputs, results, certs, notes = args.func(args)
     report = _report(args.command, inputs, results, certs, notes)
     text = _render(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return text, code
+    return text, 0 if all(c["pass"] for c in certs) else 2
 
 
 def main(argv=None):

@@ -483,11 +483,13 @@ class ChamberComplex:
             dims[mask] = dim
         records.sort(key=lambda r: (r[0], r[1]))
         self.chambers = []
+        self.counts_by_dim = {}
         self._by_signs = {}
         self._mask_of = {}
         for idx, (dim, signs, witness, boundary, mask) in enumerate(records):
             ch = Chamber(n, signs, dim, witness, boundary, idx)
             self.chambers.append(ch)
+            self.counts_by_dim[dim] = self.counts_by_dim.get(dim, 0) + 1
             self._by_signs[signs] = ch
             self._mask_of[signs] = mask
         idx = {self._mask_of[ch.signs]: ch.index for ch in self.chambers}
@@ -541,11 +543,6 @@ def chamber_complex(n, interior_only=False):
 def enumerate_chambers(n, interior_only=False):
     """Every cell of the decomposition of D(n), in a stable canonical order."""
     return list(chamber_complex(n, interior_only).chambers)
-
-
-def chamber_adjacency(n, interior_only=False):
-    """Pairs (facet id, cell id) with the facet one dimension down, in closure."""
-    return list(chamber_complex(n, interior_only).adjacency)
 
 
 # ---------------------------------------------------------------------------

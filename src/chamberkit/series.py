@@ -46,6 +46,8 @@ class ExpSeries:
                          for k, c in enumerate(coeffs)))
 
     def truncated(self, order):
+        if order > MAX_ORDER:
+            raise ValueError("order capped at %d" % MAX_ORDER)
         if order >= self.order:
             return ExpSeries(self.coeffs + (0,) * (order - self.order))
         return ExpSeries(self.coeffs[:order + 1])
@@ -118,9 +120,6 @@ def mult_inverse_permutohedral(f):
     b = [Fraction(1)]
     for n in range(1, f.order + 1):
         total = Fraction(0)
-        if n == 0:
-            b.append(total)
-            continue
         census = permutohedron_faces(n - 1).by_type
         for sizes, count in census.items():
             term = Fraction(count) * (-1) ** len(sizes)

@@ -14,6 +14,7 @@ MAX_TREE_N = 8
 MAX_CENSUS_N = 13
 MAX_LM_N = 8
 MAX_PERM_M = 8
+MAX_DIVISOR_N = 16
 
 TORIC = "TORIC"
 EXTENSION = "EXTENSION"
@@ -316,6 +317,8 @@ def reduction_divisors(a_weights, b_weights):
     n = len(a)
     if n < 4:
         raise ValueError("need at least 4 points")
+    if n > MAX_DIVISOR_N:
+        raise ValueError("reduction divisors guarded to n <= %d" % MAX_DIVISOR_N)
     for x, y in zip(a, b):
         if not (0 < y <= x <= 1):
             raise ValueError("weights not comparable: need 0 < b_i <= a_i <= 1")

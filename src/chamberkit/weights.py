@@ -29,6 +29,7 @@ TYPICAL = "TYPICAL"
 ATYPICAL = "ATYPICAL"
 
 MAX_PROFILE_N = 9
+MAX_CLASSIFY_N = 16
 MAX_FINE_N = 5
 MAX_XI_PAIRS = 6
 
@@ -169,6 +170,8 @@ def classify_linearisation(L):
     if not isinstance(L, Linearisation):
         L = Linearisation(L)
     n = L.n
+    if n > MAX_CLASSIFY_N:
+        raise ValueError("classification guarded to n <= %d" % MAX_CLASSIFY_N)
     t = L.entries
     witness = None
     for size in range(2, n // 2 + 1):

@@ -3,11 +3,13 @@ import contextlib
 import io
 import json
 import os
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberkit.cli import _build_parser, main, run
+from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_vector
 from chamberkit.strata import dm_strata
 
@@ -172,6 +174,68 @@ def test_input_errors(capsys):
     assert main(["nonsense"]) == 1
 
 
+def test_size_caps_divisors_and_stability(capsys):
+    # n = 16 walks every subset and finishes; n = 17 is refused up front
+    ones = ",".join(["1"] * 16)
+    assert main(["divisors", "--from", ones, "--to", ones]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["count"] == 0
+    ones += ",1"
+    assert main(["divisors", "--from", ones, "--to", ones]) == 1
+    assert _one_error(capsys) == "reduction divisors guarded to n <= 16"
+    # even numerators over 17 never sum to 1: typical, so no early exit
+    typical = ",".join(["2/17"] * 15 + ["4/17"])
+    assert main(["stability", "--weights", typical]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["classification"]["kind"] == "TYPICAL"
+    assert main(["stability", "--weights", ",".join(["2/17"] * 17)]) == 1
+    assert _one_error(capsys) == "classification guarded to n <= 16"
+
+
+def test_invert_order_checked_before_padding(capsys):
+    start = time.perf_counter()
+    assert main(["invert", "--mode", "mult", "--coeffs", "1,1",
+                 "--order", "1000000"]) == 1
+    assert time.perf_counter() - start < 0.05
+    assert _one_error(capsys) == "order capped at 12"
+
+
+def _failing_report(monkeypatch, target, fake, argv):
+    """Report and exit code with one library function replaced."""
+    monkeypatch.setattr(target, fake)
+    report, code = run_json(argv)
+    assert set(report) == {"schema_version", "command", "inputs", "results",
+                           "certificates", "notes"}
+    return report, code
+
+
+def test_failed_certificate_exits_2(monkeypatch):
+    report, code = _failing_report(
+        monkeypatch, "chamberkit.hypersimplex.enumerate_admissible",
+        lambda n: [p for p in enumerate_admissible(n) if p.kind != "FULL"],
+        ["admissible", "--n", "5"])
+    assert code == 2
+    assert report["results"]["counts"] == {"FULL": 0, "SECTION": 10,
+                                           "CUTS": 35}
+    assert report["certificates"] == [{"check": "full-present", "value": 0,
+                                       "expected": 1, "pass": False}]
+
+    report, code = _failing_report(
+        monkeypatch, "chamberkit.strata.chi_mbar", lambda n: 0,
+        ["strata", "--space", "dm", "--n", "5"])
+    assert code == 2
+    assert report["results"]["census"]["by_codim"] == {"0": 1, "1": 10,
+                                                       "2": 15}
+    assert [c["pass"] for c in report["certificates"]] == [False]
+
+    report, code = _failing_report(
+        monkeypatch, "chamberkit.series.comp_inverse_strata", lambda f: f,
+        ["invert", "--mode", "comp", "--coeffs", "0,1,1", "--order", "4"])
+    assert code == 2
+    assert report["results"]["coefficients"] == report["results"]["direct"]
+    assert report["results"]["census"] == ["0", "1", "1", "0", "0"]
+    assert [c["pass"] for c in report["certificates"]] == [False]
+
+
 def _one_error(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
@@ -319,4 +383,8 @@ def test_cli_fuzz_one_json_object(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2)
-    assert isinstance(json.loads(out.getvalue()), dict)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    if code != 1:
+        failed = any(not c["pass"] for c in report["certificates"])
+        assert (code == 2) == failed

@@ -181,6 +181,17 @@ def test_cell_counts_frozen():
     assert by_dim == {0: 20, 1: 110, 2: 240, 3: 225, 4: 76}
 
 
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_counts_by_dim_match_tally(interior_only):
+    for n in (4, 5, 6):
+        cc = chamber_complex(n, interior_only)
+        tally = {}
+        for c in cc.chambers:
+            tally[c.dim] = tally.get(c.dim, 0) + 1
+        assert cc.counts_by_dim == tally
+        assert list(cc.counts_by_dim) == sorted(tally)
+
+
 def test_euler_characteristics():
     for n in (4, 5):
         cells = enumerate_chambers(n)
