@@ -315,7 +315,9 @@ def _cmd_divisors(args):
     n = len(a)
     heavy_light = (all(x == 1 for x in a) and b[0] == b[1] == 1
                    and len(set(b[2:])) == 1)
-    if heavy_light and 5 <= n <= 7:
+    # The wonderful census counts the divisors only while the light points
+    # together weigh at most 1.
+    if heavy_light and 5 <= n <= 7 and (n - 2) * b[2] <= 1:
         wc = st.wonderful_divisor_census(n)
         certs.append(_cert("wonderful-total", wc.total, len(divs)))
         if n == 7:

@@ -20,12 +20,21 @@ their closures, and finds the full-dimensional cells by breadth-first search
 across shared facets.  It serves both decompositions cut by these walls:
 ChamberComplex here, which then closes cell closures against each wall to
 reach the lower cells, and weights.fine_chambers on the weight domain.
+
+Each cell is finished with a few big-integer operations.  The engine keeps,
+for each 0-cell, a plane mask of the planes it lies on and one of the planes
+it lies above; a cell lies on the AND of the first over its 0-cells and
+above the OR of the second, and its sign string is read off the two masks.
+The dimension of a cell is that of its flat, the intersection of the walls
+it lies on, and the rank behind it is computed once per flat.  The face
+adjacency of ChamberComplex is not kept by the build; it is recomputed from
+the cell masks when first read.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -233,6 +242,11 @@ class CellEngine:
     cell is identified by the bitmask of the 0-cells in its closure, so faces
     are bitwise intersections.  zeros[h], pos[h] and neg[h] are the 0-cells
     on, above and below plane h, all as integer numerators over den.
+
+    on[v] and above[v] are the planes 0-cell v lies on and strictly above,
+    as plane masks: one byte per plane, plane 0 in the most significant
+    byte, so that a cell's sign string is one integer written out as bytes
+    (see signs).
     """
 
     def __init__(self, planes, vertices):
@@ -240,19 +254,55 @@ class CellEngine:
         self.den = den = lcm(*(x.denominator for v in vertices for x in v))
         self.vnums = [tuple(int(x * den) for x in v) for v in vertices]
         self.all_mask = (1 << len(vertices)) - 1
-        self.zeros = [0] * len(planes)
-        self.pos = [0] * len(planes)
-        self.neg = [0] * len(planes)
+        H = len(planes)
+        self.zeros = [0] * H
+        self.pos = [0] * H
+        self.neg = [0] * H
+        self.on = []
+        self.above = []
+        pbits = [self.plane_mask([hi]) for hi in range(H)]
         for vi, nums in enumerate(self.vnums):
             bit = 1 << vi
+            on = above = 0
             for hi, (normal, const) in enumerate(planes):
                 val = sum(a * b for a, b in zip(normal, nums)) - const * den
                 if val == 0:
                     self.zeros[hi] |= bit
+                    on |= pbits[hi]
                 elif val > 0:
                     self.pos[hi] |= bit
+                    above |= pbits[hi]
                 else:
                     self.neg[hi] |= bit
+            self.on.append(on)
+            self.above.append(above)
+        self._minus = int.from_bytes(b"-" * H, "big")
+        self._fractions = {}
+
+    def plane_mask(self, indices):
+        """The plane mask holding the planes with the given indices."""
+        top = len(self.planes) - 1
+        return sum(1 << 8 * (top - hi) for hi in indices)
+
+    def plane_indices(self, pmask):
+        """The planes in a plane mask, in order."""
+        return [hi for hi, b in enumerate(pmask.to_bytes(len(self.planes), "big"))
+                if b]
+
+    def zero_plus(self, mask):
+        """The plane masks of the planes a cell lies on and strictly above."""
+        on, above = self.on, self.above
+        z, p = -1, 0
+        for vi in _bit_indices(mask):
+            z &= on[vi]
+            p |= above[vi]
+        return z, p
+
+    def signs(self, z, p):
+        """The sign string ("0", "+" or "-" per plane) of plane masks z, p:
+        "-" + 3 is "0" and "-" - 2 is "+", one byte per plane."""
+        return ((self._minus + 3 * z - 2 * p)
+                .to_bytes(len(self.planes), "big").decode("ascii"))
 
     def sigbits(self, point):
         """The planes a point lies strictly above, as a bitmask."""
@@ -300,10 +350,18 @@ class CellEngine:
 
     def witness(self, mask):
         """The mean of the 0-cells in mask, a point of the cell's relative
-        interior."""
+        interior.  One Fraction is shared per (numerator sum, denominator)."""
         pts = [self.vnums[i] for i in _bit_indices(mask)]
         d = self.den * len(pts)
-        return tuple(Fraction(sum(col), d) for col in zip(*pts))
+        fractions = self._fractions
+        out = []
+        for col in zip(*pts):
+            key = (sum(col), d)
+            x = fractions.get(key)
+            if x is None:
+                x = fractions[key] = Fraction(*key)
+            out.append(x)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +457,14 @@ class ChamberComplex:
     def _build(self):
         arr = self.arrangement
         self.vertices = _enumerate_vertices(self.n)
-        self._rows = _reduced_rows(arr)
-        self._cells = CellEngine([(h.normal, h.const) for h in arr.hyperplanes],
-                                 self.vertices)
-        self._zeros = self._cells.zeros
+        self._cells = cells = CellEngine(
+            [(h.normal, h.const) for h in arr.hyperplanes], self.vertices)
         sum_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind == "sum"]
-        self._box_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind != "sum"]
-        seed = self._cells.sigbits(self._seed_point())
-        top = self._cells.top_cells(seed, sum_idx, self.n - 1)
-        cells, edges = self._close_faces(top)
-        self._finalize(cells, edges)
+        self._box = cells.plane_mask(i for i, h in enumerate(arr.hyperplanes)
+                                     if h.kind != "sum")
+        seed = cells.sigbits(self._seed_point())
+        top = cells.top_cells(seed, sum_idx, self.n - 1)
+        self._finalize(self._close_faces(top))
 
     def _seed_point(self):
         n = self.n
@@ -424,63 +480,44 @@ class ChamberComplex:
         raise RuntimeError("could not sample a generic interior point")
 
     def _close_faces(self, tops):
-        """Walk every cell closure down to its faces via wall intersections."""
-        zeros = self._zeros
-        H = self.arrangement.size
-        cells = {}
-        edges = set()
-        stack = []
-        for sig, mask in tops.items():
-            if mask not in cells:
-                cells[mask] = None
-                stack.append(mask)
+        """Walk every cell closure down to its faces via wall intersections.
+
+        Returns mask -> (z, p), the plane masks of the planes the cell lies
+        on and above (CellEngine.zero_plus).  With interior_only, cells on
+        the boundary of D(n) are kept but not walked below.
+        """
+        cells = self._cells
+        zeros = cells.zeros
+        found = dict.fromkeys(tops.values())
+        stack = list(found)
         while stack:
             mask = stack.pop()
-            if self.interior_only and self._mask_on_boundary(mask):
+            z, p = found[mask] = cells.zero_plus(mask)
+            if self.interior_only and z & self._box:
                 continue
-            for hi in range(H):
-                child = mask & zeros[hi]
-                if not child or child == mask:
-                    continue
-                edges.add((child, mask))
-                if child not in cells:
-                    cells[child] = None
+            for zh in zeros:
+                child = mask & zh
+                if child and child != mask and child not in found:
+                    found[child] = None
                     stack.append(child)
-        return list(cells), edges
+        return found
 
-    def _mask_on_boundary(self, mask):
-        return any((mask & self._zeros[hi]) == mask for hi in self._box_idx)
-
-    def _mask_signs(self, mask):
-        out = []
-        zeros, pos = self._zeros, self._cells.pos
-        for hi in range(self.arrangement.size):
-            if (mask & zeros[hi]) == mask:
-                out.append("0")
-            elif mask & pos[hi]:
-                out.append("+")
-            else:
-                out.append("-")
-        return "".join(out)
-
-    def _zero_rank(self, signs):
-        """Rank in the carrier chart of the walls a cell lies on."""
-        rows = self._rows
-        return _rank((rows[hi][0] for hi, s in enumerate(signs) if s == "0"),
-                     self.n - 1)
-
-    def _finalize(self, masks, edges):
+    def _finalize(self, found):
         n = self.n
+        cells = self._cells
+        rows = _reduced_rows(self.arrangement)
+        flat_rank = {}
         records = []
-        dims = {}
-        for mask in masks:
-            boundary = self._mask_on_boundary(mask)
+        for mask, (z, p) in found.items():
+            boundary = bool(z & self._box)
             if self.interior_only and boundary:
                 continue
-            signs = self._mask_signs(mask)
-            dim = (n - 1) - self._zero_rank(signs)
-            records.append((dim, signs, self._cells.witness(mask), boundary, mask))
-            dims[mask] = dim
+            rank = flat_rank.get(z)
+            if rank is None:
+                rank = flat_rank[z] = _rank(
+                    (rows[hi][0] for hi in cells.plane_indices(z)), n - 1)
+            records.append((n - 1 - rank, cells.signs(z, p), cells.witness(mask),
+                            boundary, mask))
         records.sort(key=lambda r: (r[0], r[1]))
         self.chambers = []
         self.counts_by_dim = {}
@@ -492,12 +529,20 @@ class ChamberComplex:
             self.counts_by_dim[dim] = self.counts_by_dim.get(dim, 0) + 1
             self._by_signs[signs] = ch
             self._mask_of[signs] = mask
-        idx = {self._mask_of[ch.signs]: ch.index for ch in self.chambers}
+
+    @cached_property
+    def adjacency(self):
+        """Sorted (facet index, cell index) pairs: a facet of a cell is the
+        cell's closure cut by a plane it does not lie on, one dim lower."""
+        zeros = self._cells.zeros
+        by_mask = {self._mask_of[ch.signs]: ch for ch in self.chambers}
         adj = set()
-        for child, parent in edges:
-            if child in idx and parent in idx and dims[parent] == dims[child] + 1:
-                adj.add((idx[child], idx[parent]))
-        self.adjacency = sorted(adj)
+        for mask, ch in by_mask.items():
+            for zh in zeros:
+                face = by_mask.get(mask & zh)
+                if face is not None and face.dim == ch.dim - 1:
+                    adj.add((face.index, ch.index))
+        return sorted(adj)
 
     # -- queries ------------------------------------------------------
 
@@ -654,100 +699,6 @@ def omega_set(chamber, polys=None):
         polys = enumerate_admissible(chamber.n)
     w = chamber.witness
     return tuple(sorted(p.id for p in polys if p.interior_contains(w)))
-
-
-# ---------------------------------------------------------------------------
-# Independent validation oracle.
-
-
-def independent_cell_census(n, max_rounds=None):
-    """Cells of the decomposition found by midpoint saturation.
-
-    A deliberately separate code path used to cross-check the main
-    enumeration: 0-cells come from brute-force subset elimination over all
-    wall combinations, and representatives of higher cells are generated by
-    saturating midpoints of (cell representative, 0-cell) pairs, which
-    provably reaches every cell in at most dim(D(n)) rounds.
-
-    Returns a dict mapping sign vector -> representative point.
-    """
-    _check_n(n, 6)
-    arr = build_arrangement(n)
-    planes = [(h.normal, h.const) for h in arr.hyperplanes]
-    m = n - 1
-
-    rows = []
-    for normal, const in planes:
-        an = normal[m]
-        rows.append(tuple(normal[i] - an for i in range(m)) + (const - 2 * an,))
-
-    verts = set()
-    for combo in combinations(range(len(rows)), m):
-        mat = [list(rows[i]) for i in combo]
-        # plain fraction elimination
-        sol = _gauss_solve(mat, m)
-        if sol is None:
-            continue
-        total = sum(sol)
-        full = tuple(sol) + (2 - total,)
-        if all(0 <= x <= 1 for x in full):
-            verts.add(full)
-    verts = sorted(verts)
-
-    def signs_of(nums, den):
-        out = []
-        for normal, const in planes:
-            v = sum(a * b for a, b in zip(normal, nums)) - const * den
-            out.append("0" if v == 0 else ("+" if v > 0 else "-"))
-        return "".join(out)
-
-    def encode(point):
-        den = lcm(*(x.denominator for x in point))
-        return tuple(int(x * den) for x in point), den
-
-    reps = {}
-    venc = []
-    for v in verts:
-        nums, den = encode(v)
-        venc.append((nums, den))
-        reps.setdefault(signs_of(nums, den), v)
-
-    fresh = list(reps.items())
-    rounds = max_rounds if max_rounds is not None else m + 1
-    for _ in range(rounds):
-        new = []
-        for _, rep in fresh:
-            rnums, rden = encode(rep)
-            for vnums, vden in venc:
-                den = 2 * rden * vden
-                nums = tuple(rn * vden + vn * rden for rn, vn in zip(rnums, vnums))
-                sig = signs_of(nums, den)
-                if sig not in reps:
-                    pt = tuple(Fraction(a, den) for a in nums)
-                    reps[sig] = pt
-                    new.append((sig, pt))
-        if not new:
-            break
-        fresh = new
-    return reps
-
-
-def _gauss_solve(mat, m):
-    """Solve an m x m system given as rows [c_1..c_m, rhs]; None if singular."""
-    rows = [[Fraction(v) for v in r] for r in mat]
-    for col in range(m):
-        piv = next((i for i in range(col, m) if rows[i][col] != 0), -1)
-        if piv < 0:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        prow = rows[col]
-        inv = prow[col]
-        rows[col] = prow = [v / inv for v in prow]
-        for i in range(m):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-    return [rows[i][m] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,165 @@
+"""Slow reference paths for the chamber complex, kept as test oracles.
+
+independent_cell_census finds the cells of D(n) by a route separate from
+the cell engine.  finish_per_wall repeats the last half of the
+ChamberComplex build the plain way: per-wall sign strings, one echelon rank
+per cell and the face edges collected during the closure.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
+from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement)
+
+
+def independent_cell_census(n, max_rounds=None):
+    """Cells of the decomposition found by midpoint saturation.
+
+    0-cells come from brute-force subset elimination over all wall
+    combinations, and representatives of higher cells are generated by
+    saturating midpoints of (cell representative, 0-cell) pairs, which
+    provably reaches every cell in at most dim(D(n)) rounds.
+
+    Returns a dict mapping sign vector -> representative point.
+    """
+    if n > 6:
+        raise ValueError("the census oracle is sized for n <= 6")
+    arr = build_arrangement(n)
+    planes = [(h.normal, h.const) for h in arr.hyperplanes]
+    m = n - 1
+
+    rows = []
+    for normal, const in planes:
+        an = normal[m]
+        rows.append(tuple(normal[i] - an for i in range(m)) + (const - 2 * an,))
+
+    verts = set()
+    for combo in combinations(range(len(rows)), m):
+        sol = _gauss_solve([list(rows[i]) for i in combo], m)
+        if sol is None:
+            continue
+        full = tuple(sol) + (2 - sum(sol),)
+        if all(0 <= x <= 1 for x in full):
+            verts.add(full)
+    verts = sorted(verts)
+
+    def signs_of(nums, den):
+        out = []
+        for normal, const in planes:
+            v = sum(a * b for a, b in zip(normal, nums)) - const * den
+            out.append("0" if v == 0 else ("+" if v > 0 else "-"))
+        return "".join(out)
+
+    def encode(point):
+        den = lcm(*(x.denominator for x in point))
+        return tuple(int(x * den) for x in point), den
+
+    reps = {}
+    venc = []
+    for v in verts:
+        nums, den = encode(v)
+        venc.append((nums, den))
+        reps.setdefault(signs_of(nums, den), v)
+
+    fresh = list(reps.items())
+    rounds = max_rounds if max_rounds is not None else m + 1
+    for _ in range(rounds):
+        new = []
+        for _, rep in fresh:
+            rnums, rden = encode(rep)
+            for vnums, vden in venc:
+                den = 2 * rden * vden
+                nums = tuple(rn * vden + vn * rden for rn, vn in zip(rnums, vnums))
+                sig = signs_of(nums, den)
+                if sig not in reps:
+                    pt = tuple(Fraction(a, den) for a in nums)
+                    reps[sig] = pt
+                    new.append((sig, pt))
+        if not new:
+            break
+        fresh = new
+    return reps
+
+
+def _gauss_solve(mat, m):
+    """Solve an m x m system given as rows [c_1..c_m, rhs]; None if singular."""
+    rows = [[Fraction(v) for v in r] for r in mat]
+    for col in range(m):
+        piv = next((i for i in range(col, m) if rows[i][col] != 0), -1)
+        if piv < 0:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        prow = rows[col]
+        inv = prow[col]
+        rows[col] = prow = [v / inv for v in prow]
+        for i in range(m):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+    return [rows[i][m] for i in range(m)]
+
+
+def finish_per_wall(cc):
+    """(chambers, counts_by_dim, adjacency) of cc rebuilt from its top cells
+    with a per-wall sign loop, a rank per cell and an edge set.
+
+    Chambers are (signs, dim, witness, on_boundary, index) tuples.
+    """
+    n = cc.n
+    cells = cc._cells
+    zeros, pos = cells.zeros, cells.pos
+    planes = cc.arrangement.hyperplanes
+    box = [hi for hi, h in enumerate(planes) if h.kind != "sum"]
+    rows = _reduced_rows(cc.arrangement)
+
+    def on_boundary(mask):
+        return any(mask & zeros[hi] == mask for hi in box)
+
+    def signs_of(mask):
+        return "".join("0" if mask & zeros[hi] == mask
+                       else ("+" if mask & pos[hi] else "-")
+                       for hi in range(len(planes)))
+
+    def witness(mask):
+        pts = [cc.vertices[i] for i in range(len(cc.vertices)) if mask >> i & 1]
+        return tuple(sum(col) / len(pts) for col in zip(*pts))
+
+    sum_idx = [hi for hi, h in enumerate(planes) if h.kind == "sum"]
+    tops = cells.top_cells(cells.sigbits(cc._seed_point()), sum_idx, n - 1)
+    seen = set(tops.values())
+    stack = list(seen)
+    edges = set()
+    while stack:
+        mask = stack.pop()
+        if cc.interior_only and on_boundary(mask):
+            continue
+        for zh in zeros:
+            child = mask & zh
+            if not child or child == mask:
+                continue
+            edges.add((child, mask))
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+
+    records = []
+    dims = {}
+    for mask in seen:
+        boundary = on_boundary(mask)
+        if cc.interior_only and boundary:
+            continue
+        signs = signs_of(mask)
+        rank = _rank((rows[hi][0] for hi, s in enumerate(signs) if s == "0"), n - 1)
+        dims[mask] = n - 1 - rank
+        records.append((dims[mask], signs, witness(mask), boundary, mask))
+    records.sort(key=lambda r: (r[0], r[1]))
+    index = {r[4]: i for i, r in enumerate(records)}
+    chambers = [(signs, dim, w, boundary, i)
+                for i, (dim, signs, w, boundary, _) in enumerate(records)]
+    counts = {}
+    for dim, *_ in records:
+        counts[dim] = counts.get(dim, 0) + 1
+    adjacency = sorted({(index[c], index[p]) for c, p in edges
+                        if c in index and p in index and dims[p] == dims[c] + 1})
+    return chambers, counts, adjacency

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -48,6 +49,42 @@ def test_divisors_example():
     assert any(c["check"] == "wonderful-total" and c["pass"]
                for c in report["certificates"])
     assert [n["topic"] for n in report["notes"]] == ["divisor-factor-order"]
+
+
+@pytest.mark.parametrize("to", ["1,1,1,1,1", "1,1,1/3,1/3,1/3,1/3",
+                                "1,1,1/4,1/4,1/4,1/4,1/4"])
+def test_divisors_heavy_light_beyond_wonderful(to):
+    # light points weighing more than 1 together: no wonderful certificate
+    n = to.count(",") + 1
+    report, code = run_json(["divisors", "--from", ",".join(["1"] * n),
+                             "--to", to])
+    assert code == 0
+    assert report["certificates"] == []
+    assert report["notes"] == []
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_divisors_heavy_light_wonderful_certificate(n):
+    # eps <= 1/(n - 2): the certificate is attached and passes
+    for eps in ("1/%d" % (n - 2), "1/%d" % (4 * (n - 2))):
+        report, code = run_json(["divisors", "--from", ",".join(["1"] * n),
+                                 "--to", ",".join(["1", "1"] + [eps] * (n - 2))])
+        assert code == 0
+        assert [(c["check"], c["pass"]) for c in report["certificates"]] == \
+            [("wonderful-total", True)]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("chambers --n 5 --list",
+     "2acede5cad964904dbffad7af4107704afd0dea969aab2cafb7c1ad62fb3ed87"),
+    ("chambers --n 6 --interior-only --list",
+     "5f1f8012da34f9cd63e29fc5b5a55fb9a3c70bee0248be438b6e7ffd08bd7096"),
+])
+def test_chamber_listing_reports_pinned(argv, digest):
+    # sha256 of the report text before the bit-parallel finish of the build
+    text, code = run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_invert_comp_strata():

@@ -10,10 +10,10 @@ from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
                                      _reduced_rows, build_arrangement,
                                      chamber_complex,
                                      enumerate_admissible, enumerate_chambers,
-                                     hypersimplex_polytope,
-                                     independent_cell_census, omega_set,
+                                     hypersimplex_polytope, omega_set,
                                      permute_point, rejected_cut_families)
 from chamberkit.weights import _fine_planes, _fine_vertices
+from cell_oracles import finish_per_wall, independent_cell_census
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -167,6 +167,19 @@ def test_complex_matches_oracle_vertex_build(monkeypatch, interior_only):
     assert fast.vertices == slow.vertices
     assert fast.chambers == slow.chambers  # signs, dim, witness, boundary, index
     assert fast.adjacency == slow.adjacency
+
+
+@pytest.mark.parametrize("interior_only", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_finish_matches_per_wall_oracle(n, interior_only):
+    # plane masks per 0-cell, one rank per flat and adjacency on demand
+    # against per-wall signs, a rank per cell and the closure's edge set
+    cc = chamber_complex(n, interior_only)
+    chambers, counts, adjacency = finish_per_wall(cc)
+    assert [(c.signs, c.dim, c.witness, c.on_boundary, c.index)
+            for c in cc.chambers] == chambers
+    assert cc.counts_by_dim == counts
+    assert cc.adjacency == adjacency
 
 
 def test_cell_counts_frozen():
