@@ -337,8 +337,7 @@ def _cmd_invert(args):
                   if order <= se.MAX_PERM_ORDER else None)
     else:
         direct = se.comp_inverse_direct(f)
-        census = (se.comp_inverse_strata(f)
-                  if order <= se.MAX_STRATA_ORDER else None)
+        census = se.comp_inverse_strata(f)
     if args.method == "strata" and census is None:
         raise _CliError("census route unavailable at order %d" % order)
     results = {

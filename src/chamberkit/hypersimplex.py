@@ -100,17 +100,28 @@ def canonical_subset(n, subset):
 
 
 @lru_cache(maxsize=None)
+def weight_walls(n):
+    """All subsets S with 2 <= |S| <= n-2 (0-based), by size and then
+    lexicographically: the one list every subset wall and subset family
+    here and in weights and strata is drawn from."""
+    if n < 4:
+        raise ValueError("n must be at least 4")
+    return tuple(s for size in range(2, n - 1)
+                 for s in combinations(range(n), size))
+
+
+@lru_cache(maxsize=None)
 def build_arrangement(n):
-    """All deduplicated walls for D(n), in canonical order."""
+    """All deduplicated walls for D(n), in canonical order: the weight walls
+    that are their own canonical_subset, then the facet planes."""
     _check_n(n)
-    sums = set()
-    for size in range(2, n // 2 + 1):
-        for combo in combinations(range(n), size):
-            sums.add(canonical_subset(n, combo))
     planes = []
-    for s in sorted(sums, key=lambda s: (len(s), tuple(sorted(s)))):
-        normal = tuple(1 if i in s else 0 for i in range(n))
-        planes.append(Hyperplane(normal, 1, "sum", s, "sum%s=1" % _subset_label(s)))
+    for w in weight_walls(n):
+        s = frozenset(w)
+        if canonical_subset(n, s) == s:
+            normal = tuple(1 if i in s else 0 for i in range(n))
+            planes.append(Hyperplane(normal, 1, "sum", s,
+                                     "sum%s=1" % _subset_label(s)))
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
         planes.append(Hyperplane(e, 0, "x0", frozenset([i]), "x%d=0" % (i + 1)))
@@ -120,16 +131,37 @@ def build_arrangement(n):
     return Arrangement(n, tuple(planes))
 
 
+@lru_cache(maxsize=None)
+def carrier_walls(n):
+    """Each weight wall S as seen on the carrier sum x = 2: the index of its
+    sum plane in build_arrangement(n), whether that plane is the wall of
+    S^c (so the signs flip), and the index of S^c among the weight walls."""
+    walls = weight_walls(n)
+    index = {s: i for i, s in enumerate(walls)}
+    plane = {h.subset: i for i, h in enumerate(build_arrangement(n).hyperplanes)
+             if h.kind == "sum"}
+    out = []
+    for s in walls:
+        canon = canonical_subset(n, s)
+        comp = tuple(i for i in range(n) if i not in s)
+        out.append((plane[canon], canon != frozenset(s), index[comp]))
+    return tuple(out)
+
+
+def _box(n, rel):
+    """sum x = 2 with x_i (rel) 1 and -x_i (rel) 0 for each i, as constraints."""
+    cons = [LinConstraint([1] * n, EQ, 2)]
+    for i in range(n):
+        e = [int(j == i) for j in range(n)]
+        cons.append(LinConstraint(e, rel, 1))
+        cons.append(LinConstraint([-v for v in e], rel, 0))
+    return cons
+
+
 def hypersimplex_polytope(n):
     """D(n) as an H-polytope in the ambient coordinates."""
     _check_n(n)
-    cons = [LinConstraint([1] * n, EQ, 2)]
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        cons.append(LinConstraint(list(e), LE, 1))
-        cons.append(LinConstraint([-v for v in e], LE, 0))
-    return HPolytope(n, tuple(cons))
+    return HPolytope(n, tuple(_box(n, LE)))
 
 
 @dataclass(frozen=True)
@@ -226,6 +258,28 @@ def _solutions(rows, m, compatible=None):
 
     recurse(0, (1 << len(rows)) - 1, [], [])
     return out
+
+
+def _families(masks, compatible, visit):
+    """Call visit on every family of pairwise compatible masks, the empty
+    family first, each a list of masks in the order of the given list.
+
+    A depth-first search that extends a family only by later masks
+    compatible with all of it; compatible(a, b) is the pairwise test.  The
+    list passed to visit is reused, so visit copies what it keeps.
+    """
+    after = [sum(1 << j for j in range(i + 1, len(masks))
+                 if compatible(a, masks[j]))
+             for i, a in enumerate(masks)]
+
+    def recurse(chosen, allowed):
+        visit(chosen)
+        for j in _bit_indices(allowed):
+            chosen.append(masks[j])
+            recurse(chosen, allowed & after[j])
+            chosen.pop()
+
+    recurse([], (1 << len(masks)) - 1)
 
 
 def _bit_indices(mask):
@@ -396,12 +450,9 @@ def _open_vertices(k):
     """
     m = k - 1
     full = (1 << k) - 1
-    bits = []
-    rows = []
-    for size in range(2, k - 1):
-        for combo in combinations(range(m), size):
-            bits.append(sum(1 << i for i in combo))
-            rows.append((tuple(1 if i in combo else 0 for i in range(m)), 1))
+    walls = [s for s in weight_walls(k) if m not in s]
+    bits = [sum(1 << i for i in s) for s in walls]
+    rows = [(tuple(1 if i in s else 0 for i in range(m)), 1) for s in walls]
     crossing = [sum(1 << j for j, t in enumerate(bits) if _crosses(s, t, full))
                 for s in bits]
     found = set()
@@ -624,58 +675,28 @@ class AdmissiblePolytope:
         return all(sum(point[i] for i in s) < 1 for s in self.subsets)
 
 
-def _disjoint_families(pool):
-    """All nonempty families of pairwise disjoint subsets from an ordered pool."""
-    out = []
-
-    def extend(start, chosen, used):
-        for i in range(start, len(pool)):
-            s = pool[i]
-            if used & s[1]:
-                continue
-            fam = chosen + [s[0]]
-            out.append(tuple(fam))
-            extend(i + 1, fam, used | s[1])
-
-    extend(0, [], 0)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _admissible(n):
     _check_n(n)
     accepted = [AdmissiblePolytope(n, "FULL", (), n - 1)]
-    seen_sections = set()
-    for size in range(2, n // 2 + 1):
-        for combo in combinations(range(n), size):
-            s = canonical_subset(n, combo)
-            if s in seen_sections:
-                continue
-            seen_sections.add(s)
-            accepted.append(AdmissiblePolytope(n, "SECTION", (tuple(sorted(s)),), n - 2))
-    pool = []
-    for size in range(2, n - 1):
-        for combo in combinations(range(n), size):
-            bits = 0
-            for i in combo:
-                bits |= 1 << i
-            pool.append((tuple(combo), bits))
-    pool.sort(key=lambda p: (len(p[0]), p[0]))
+    for h in build_arrangement(n).hyperplanes:
+        if h.kind == "sum":
+            accepted.append(AdmissiblePolytope(n, "SECTION",
+                                               (tuple(sorted(h.subset)),), n - 2))
+    box = _box(n, LT)
+    subset_of = {sum(1 << i for i in s): s for s in weight_walls(n)}
     rejected = []
-    for fam in _disjoint_families(pool):
-        cand = AdmissiblePolytope(n, "CUTS", tuple(fam), n - 1)
-        cons = [LinConstraint([1] * n, EQ, 2)]
-        for i in range(n):
-            e = [0] * n
-            e[i] = 1
-            cons.append(LinConstraint(list(e), LT, 1))
-            cons.append(LinConstraint([-v for v in e], LT, 0))
-        for s in fam:
-            cons.append(LinConstraint([1 if i in s else 0 for i in range(n)], LT, 1))
-        if lp_feasible(cons) is None:
-            rejected.append(cand)
-        else:
-            accepted.append(cand)
+
+    def visit(fam):
+        if not fam:
+            return
+        cand = AdmissiblePolytope(n, "CUTS", tuple(subset_of[m] for m in fam),
+                                  n - 1)
+        cons = box + [LinConstraint([1 if i in s else 0 for i in range(n)], LT, 1)
+                      for s in cand.subsets]
+        (accepted if lp_feasible(cons) is not None else rejected).append(cand)
+
+    _families(list(subset_of), lambda a, b: not a & b, visit)
     return tuple(accepted), tuple(rejected)
 
 

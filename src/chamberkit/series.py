@@ -33,9 +33,6 @@ class ExpSeries:
     def order(self):
         return len(self.coeffs) - 1
 
-    def coefficient(self, k):
-        return self.coeffs[k]
-
     def ordinary(self):
         """Plain power-series coefficients a_n / n!."""
         return tuple(c / factorial(k) for k, c in enumerate(self.coeffs))

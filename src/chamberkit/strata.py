@@ -10,6 +10,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 
+from .hypersimplex import _families
+
 MAX_TREE_N = 8
 MAX_CENSUS_N = 13
 MAX_LM_N = 8
@@ -133,30 +135,7 @@ def _split_masks(n):
 
 def _laminar_families(n, visit):
     """Drive visit over every laminar family of splits, smallest masks first."""
-    cands = _split_masks(n)
-    top = len(cands)
-    after = []
-    for i, a in enumerate(cands):
-        mask = 0
-        for j in range(i + 1, top):
-            b = cands[j]
-            c = a & b
-            if not c or c == a or c == b:
-                mask |= 1 << j
-        after.append(mask)
-
-    def rec(chosen, allowed):
-        visit(chosen)
-        m = allowed
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
-            m ^= low
-            chosen.append(cands[j])
-            rec(chosen, allowed & after[j])
-            chosen.pop()
-
-    rec([], (1 << top) - 1)
+    _families(_split_masks(n), lambda a, b: a & b in (0, a, b), visit)
 
 
 def _merge(a, b):
@@ -707,22 +686,15 @@ def wonderful_building_set(n):
         raise ValueError("n must be an integer with 5 <= n <= %d" % MAX_TREE_N)
     light = tuple(range(3, n + 1))
     generators = tuple(combinations(light, 3))
-    pool = []
-    for size in range(3, len(light) + 1):
-        pool.extend(combinations(light, size))
+    clique_of = {sum(1 << x for x in c): c for size in range(3, len(light) + 1)
+                 for c in combinations(light, size)}
     elements = []
 
-    def rec(start, picked):
-        if picked:
-            elements.append(IntersectionLocus(n, tuple(picked)))
-        for i in range(start, len(pool)):
-            cand = pool[i]
-            if all(not (set(cand) & set(p)) for p in picked):
-                picked.append(cand)
-                rec(i + 1, picked)
-                picked.pop()
+    def visit(fam):
+        if fam:
+            elements.append(IntersectionLocus(n, tuple(clique_of[m] for m in fam)))
 
-    rec(0, [])
+    _families(list(clique_of), lambda a, b: not a & b, visit)
     elements.sort(key=lambda e: (sum(len(c) for c in e.components),
                                  e.components))
     return BuildingLattice(n, generators, tuple(elements))

@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .hypersimplex import (CellEngine, _rank, _solutions, build_arrangement,
-                           canonical_subset)
+from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
+                           weight_walls)
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -173,29 +173,28 @@ def classify_linearisation(L):
     if n > MAX_CLASSIFY_N:
         raise ValueError("classification guarded to n <= %d" % MAX_CLASSIFY_N)
     t = L.entries
-    witness = None
-    for size in range(2, n // 2 + 1):
-        for combo in combinations(range(n), size):
-            if sum(t[i] for i in combo) == 1:
-                return LinearisationClass(ATYPICAL, tuple(i + 1 for i in combo))
-    for i in range(n):
-        if t[i] == 1:
-            witness = (i + 1,)
-            break
-    if witness is not None:
-        return LinearisationClass(ATYPICAL, witness)
-    return LinearisationClass(TYPICAL, ())
+    combo = _unit_subset(t, range(2, n // 2 + 1)) or _unit_subset(t, (1,))
+    if combo is None:
+        return LinearisationClass(TYPICAL, ())
+    return LinearisationClass(ATYPICAL, tuple(i + 1 for i in combo))
+
+
+def _unit_subset(t, sizes):
+    """The first subset of the given sizes that sums to 1 or whose
+    complement does, in size and then lexicographic order; None if none."""
+    total = sum(t)
+    for size in sizes:
+        for combo in combinations(range(len(t)), size):
+            s = sum(t[i] for i in combo)
+            if s == 1 or total - s == 1:
+                return combo
+    return None
 
 
 def has_unit_subset(entries):
     """True when some nonempty proper subset of the entries sums to 1."""
     t = tuple(Fraction(x) for x in entries)
-    n = len(t)
-    for size in range(1, n // 2 + 1):
-        for combo in combinations(range(n), size):
-            if sum(t[i] for i in combo) == 1:
-                return True
-    return False
+    return _unit_subset(t, range(1, len(t) // 2 + 1)) is not None
 
 
 def semistable_profile(L):
@@ -263,25 +262,9 @@ def rescale_to_carrier(A):
 
 
 @lru_cache(maxsize=None)
-def weight_walls(n):
-    """All subsets S with 2 <= |S| <= n-2, in canonical order (0-based)."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    out = []
-    for size in range(2, n - 1):
-        out.extend(combinations(range(n), size))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def coarse_walls(n):
     """The strict window 2 < |S| < n-2; empty for n = 5 as literally stated."""
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    out = []
-    for size in range(3, n - 2):
-        out.extend(combinations(range(n), size))
-    return tuple(out)
+    return tuple(s for s in weight_walls(n) if 2 < len(s) < n - 2)
 
 
 def weight_signs(n, point):
@@ -398,24 +381,17 @@ def _chamber_wall_data(chamber):
     the chamber is not on; walls the chamber lies on come in complementary
     pairs to be resolved per candidate cell.
     """
-    n = chamber.n
-    arr = build_arrangement(n)
-    by_subset = {h.subset: s for h, s in zip(arr.hyperplanes, chamber.signs)
-                 if h.kind == "sum"}
-    walls = weight_walls(n)
+    signs = chamber.signs
     fixed = {}
     pairs = []
-    for idx, s in enumerate(walls):
-        canon = canonical_subset(n, s)
-        sign = by_subset[canon]
-        flip = canon != frozenset(s)
+    for idx, (plane, flip, comp) in enumerate(carrier_walls(chamber.n)):
+        sign = signs[plane]
         if sign == "0":
             if not flip:
-                comp = tuple(sorted(set(range(n)) - canon))
-                pairs.append((idx, walls.index(comp)))
+                pairs.append((idx, comp))
         else:
             fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
-    return walls, fixed, pairs
+    return weight_walls(chamber.n), fixed, pairs
 
 
 PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))

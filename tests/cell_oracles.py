@@ -4,13 +4,16 @@ independent_cell_census finds the cells of D(n) by a route separate from
 the cell engine.  finish_per_wall repeats the last half of the
 ChamberComplex build the plain way: per-wall sign strings, one echelon rank
 per cell and the face edges collected during the closure.
+chamber_wall_data_per_wall translates a carrier chamber's signs to the
+weight walls one wall at a time, through canonical_subset.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement)
+from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement,
+                                     canonical_subset, weight_walls)
 
 
 def independent_cell_census(n, max_rounds=None):
@@ -163,3 +166,26 @@ def finish_per_wall(cc):
     adjacency = sorted({(index[c], index[p]) for c, p in edges
                         if c in index and p in index and dims[p] == dims[c] + 1})
     return chambers, counts, adjacency
+
+
+def chamber_wall_data_per_wall(chamber):
+    """(walls, fixed, pairs) of weights._chamber_wall_data, each weight wall
+    translated through canonical_subset and located with walls.index."""
+    n = chamber.n
+    arr = build_arrangement(n)
+    by_subset = {h.subset: s for h, s in zip(arr.hyperplanes, chamber.signs)
+                 if h.kind == "sum"}
+    walls = weight_walls(n)
+    fixed = {}
+    pairs = []
+    for idx, s in enumerate(walls):
+        canon = canonical_subset(n, s)
+        sign = by_subset[canon]
+        flip = canon != frozenset(s)
+        if sign == "0":
+            if not flip:
+                comp = tuple(sorted(set(range(n)) - canon))
+                pairs.append((idx, walls.index(comp)))
+        else:
+            fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
+    return walls, fixed, pairs

@@ -87,6 +87,19 @@ def test_chamber_listing_reports_pinned(argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n,digest", [
+    (4, "c223e7177061173a9365a17afcb7a28df0c5d635de73eb5e2de47949c66e3254"),
+    (5, "9101a3b7e4c877ebc9f275edf91a73566e06122704df3fe58ecedce3c4e731f3"),
+    (6, "e89fb76ce8b7bca30bd089ff5aac511efec9c36a449d41c874212b89e519a87c"),
+])
+def test_admissible_reports_pinned(n, digest):
+    # sha256 of the report text before the wall list moved into hypersimplex;
+    # the SECTION and CUTS entries come in wall order
+    text, code = run(["admissible", "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_invert_comp_strata():
     for order in ("6", "12"):
         report, code = run_json(["invert", "--mode", "comp", "--method",

@@ -20,6 +20,8 @@ from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
                                 stability, stability_report, weight_signs,
                                 weight_walls, xi)
 
+from cell_oracles import chamber_wall_data_per_wall
+
 EXAMPLE_L = (F(1, 2), F(2, 3), F(5, 18), F(5, 18), F(5, 18))
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -124,6 +126,21 @@ def test_typical_iff_no_strictly_semistable():
         assert has_unit_subset(L.entries) == sss
 
 
+def test_has_unit_subset_any_total():
+    # entries need not sum to 2: a large subset, or the complement of a
+    # small one, can be the one summing to 1
+    assert has_unit_subset([F(1, 4)] * 4 + [F(5)])
+    assert has_unit_subset([F(5), F(1, 3), F(1, 3), F(1, 3)])
+    assert not has_unit_subset([F(2, 5)] * 4 + [F(5)])
+    rng = random.Random(41)
+    for _ in range(200):
+        t = [F(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(rng.randint(2, 6))]
+        brute = any(sum(t[i] for i in combo) == 1
+                    for size in range(1, len(t))
+                    for combo in combinations(range(len(t)), size))
+        assert has_unit_subset(t) == brute
+
+
 def test_chamber_invariance_sample():
     cc = chamber_complex(5)
     rng = random.Random(5150)
@@ -180,6 +197,12 @@ def test_rescale_examples():
     a = WeightVector([F(1), F(1), F(1, 5), F(1, 5), F(1, 5)])
     b = rescale_to_carrier(a)
     assert all(x < y for x, y in zip(b.entries, a.entries))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_chamber_wall_data_matches_per_wall_oracle(n):
+    for ch in chamber_complex(n, True).chambers:
+        assert _chamber_wall_data(ch) == chamber_wall_data_per_wall(ch)
 
 
 def test_weight_walls():
