@@ -246,27 +246,19 @@ _SIGN_NOTE = {
 def _census_payload(space, n):
     if space == "dm":
         st._check_tree_n(n)
-        by_codim = {}
-        by_type = {}
-        chi = 0
-        for (codim, vals), count in st.dm_valence_census(n).items():
-            by_codim[codim] = by_codim.get(codim, 0) + count
-            ts = st._type_string(vals)
-            by_type[ts] = by_type.get(ts, 0) + count
-            chi += count * st.chi_stratum(vals)
-        return {
-            "by_codim": {str(k): v for k, v in sorted(by_codim.items())},
-            "by_type": dict(sorted(by_type.items())),
-            "total": sum(by_codim.values()),
-            "chi": chi,
-        }, [_cert("chi-fibration", chi, st.chi_mbar(n))]
-    census = st.lm_census(n)
+        by_grade, by_type, total, chi = st.tally(st.dm_valence_census(n))
+        grade, cert = "by_codim", _cert("chi-fibration", chi, st.chi_mbar(n))
+    else:
+        c = st.lm_census(n)
+        by_grade, by_type, total, chi = c.by_dim, c.by_type, c.total, c.chi
+        grade = "by_dim"
+        cert = _cert("chi-permutohedral", chi, factorial(n - 2))
     return {
-        "by_dim": {str(k): v for k, v in sorted(census.by_dim.items())},
-        "by_type": dict(sorted(census.by_type.items())),
-        "total": census.total,
-        "chi": census.chi,
-    }, [_cert("chi-permutohedral", census.chi, factorial(n - 2))]
+        grade: {str(k): v for k, v in sorted(by_grade.items())},
+        "by_type": dict(sorted(by_type.items())),
+        "total": total,
+        "chi": chi,
+    }, [cert]
 
 
 def _cmd_strata(args):
@@ -508,6 +500,8 @@ def load_census(path):
 def _cmd_census(args):
     if not args.save and not args.check:
         raise _CliError("census needs --save PATH or --check PATH")
+    if args.save and args.check:
+        raise _CliError("census takes --save PATH or --check PATH, not both")
     inputs = {"space": args.space, "n": args.n}
     notes = _lm_notes(args.space, args.n)
     if args.save:

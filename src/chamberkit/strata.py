@@ -47,6 +47,20 @@ def _type_string(valences):
     return "x".join("M0%d" % v for v in sorted(valences, reverse=True))
 
 
+def tally(census):
+    """(by grade, by type string, total, Euler sum) of a census keyed by
+    (grade, valences), each open stratum a product of open moduli spaces."""
+    by_grade = {}
+    by_type = {}
+    chi = 0
+    for (grade, vals), count in census.items():
+        by_grade[grade] = by_grade.get(grade, 0) + count
+        ts = _type_string(vals)
+        by_type[ts] = by_type.get(ts, 0) + count
+        chi += count * chi_stratum(vals)
+    return by_grade, by_type, sum(by_grade.values()), chi
+
+
 # ---------------------------------------------------------------------------
 # stable trees of the nodal boundary
 
@@ -149,17 +163,29 @@ def _merge(a, b):
 
 
 @lru_cache(maxsize=None)
-def _blocks(m, k):
+def _blocks(m, k, carry):
     """Census of the ways to split m labelled legs into k unordered blocks,
-    each carrying a rooted stable subtree (see _branch)."""
+    a block of s legs carrying the census carry(s).  Every boundary census
+    is built from this one recursion, through the carry."""
     if k == 0:
         return {(0, ()): 1} if m == 0 else {}
     out = {}
     # the block holding the smallest leg has s legs: C(m - 1, s - 1) choices
     for s in range(1, m - k + 2):
         ways = comb(m - 1, s - 1)
-        for key, count in _merge(_branch(s), _blocks(m - s, k - 1)).items():
+        rest = _blocks(m - s, k - 1, carry)
+        for key, count in _merge(carry(s), rest).items():
             out[key] = out.get(key, 0) + ways * count
+    return out
+
+
+def _ordered(m, carry):
+    """As _blocks, over every number k of blocks, in each of their k!
+    orders."""
+    out = {}
+    for k in range(1, m + 1):
+        for key, count in _blocks(m, k, carry).items():
+            out[key] = out.get(key, 0) + factorial(k) * count
     return out
 
 
@@ -172,7 +198,8 @@ def _branch(m):
         return {(0, ()): 1}
     out = {}
     for j in range(2, m + 1):
-        for key, count in _merge({(1, (j + 1,)): 1}, _blocks(m, j)).items():
+        for key, count in _merge({(1, (j + 1,)): 1},
+                                 _blocks(m, j, _branch)).items():
             out[key] = out.get(key, 0) + count
     return out
 
@@ -350,9 +377,6 @@ class LMChain:
     def type_string(self):
         return _type_string(c + 2 for c in self.cluster_counts())
 
-    def chi_term(self):
-        return chi_stratum(c + 2 for c in self.cluster_counts())
-
 
 def _partitions_of(elems):
     """All set partitions, blocks sorted by least element."""
@@ -364,11 +388,7 @@ def _partitions_of(elems):
         for i, block in enumerate(part):
             out.append(part[:i] + ((first,) + block,) + part[i + 1:])
         out.append(((first,),) + part)
-    canon = set()
-    for part in out:
-        canon.add(tuple(sorted((tuple(sorted(b)) for b in part),
-                               key=lambda b: b[0])))
-    return sorted(canon)
+    return sorted(tuple(sorted(part)) for part in out)
 
 
 def _ordered_partitions(elems):
@@ -416,17 +436,24 @@ class LMCensus:
     chi: int
 
 
+def _point(s):
+    """A block that carries nothing, so that _blocks counts set partitions."""
+    return {(0, ()): 1}
+
+
+def _screen(s):
+    """Census of one screen of a chain holding s light legs: c clusters,
+    S(s, c) ways, give dimension c - 1 and a vertex of valence c + 2."""
+    return {(c - 1, (c + 2,)): _blocks(s, c, _point)[(0, ())]
+            for c in range(1, s + 1)}
+
+
+@lru_cache(maxsize=None)
 def lm_census(n):
-    chains = lm_strata(n)
-    by_dim = {}
-    by_type = {}
-    chi = 0
-    for c in chains:
-        by_dim[c.dim] = by_dim.get(c.dim, 0) + 1
-        ts = c.type_string()
-        by_type[ts] = by_type.get(ts, 0) + 1
-        chi += c.chi_term()
-    return LMCensus(n, by_dim, by_type, len(chains), chi)
+    """Census of the chain strata without listing them: the light legs
+    3..n split into screens in order, each screen into clusters."""
+    _check_lm_n(n)
+    return LMCensus(n, *tally(_ordered(n - 2, _screen)))
 
 
 def permute_lm_chain(perm, chain):
@@ -554,32 +581,9 @@ def lm_point_label_census_n5():
 # permutohedron faces
 
 
-def fubini(k):
-    total = 0
-    for parts in range(1, k + 1):
-        term = 0
-        for split in _compositions(k, parts):
-            term += _multinomial(split)
-        total += term
-    return total if k else 1
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(sizes):
-    out = 1
-    left = sum(sizes)
-    for s in sizes:
-        out *= comb(left, s)
-        left -= s
-    return out
+def _face(s):
+    """One block of s ground points in an ordered partition, grade 1."""
+    return {(1, (s,)): 1}
 
 
 @dataclass(frozen=True)
@@ -600,12 +604,9 @@ def permutohedron_faces(m):
     ground = m + 1
     by_k = {}
     by_type = {}
-    for k in range(1, ground + 1):
-        for sizes in _compositions(ground, k):
-            count = _multinomial(sizes)
-            by_k[k] = by_k.get(k, 0) + count
-            key = tuple(sorted(sizes, reverse=True))
-            by_type[key] = by_type.get(key, 0) + count
+    for (k, sizes), count in _ordered(ground, _face).items():
+        by_k[k] = by_k.get(k, 0) + count
+        by_type[sizes] = count
     f_vector = tuple(by_k[ground - d] for d in range(m + 1))
     return FaceCensus(m, by_k, by_type, f_vector, sum(by_k.values()))
 

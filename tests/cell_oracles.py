@@ -1,4 +1,5 @@
-"""Slow reference paths for the chamber complex, kept as test oracles.
+"""Slow reference paths for the chamber complex and the boundary censuses,
+kept as test oracles.
 
 independent_cell_census finds the cells of D(n) by a route separate from
 the cell engine.  finish_per_wall repeats the last half of the
@@ -6,14 +7,20 @@ ChamberComplex build the plain way: per-wall sign strings, one echelon rank
 per cell and the face edges collected during the closure.
 chamber_wall_data_per_wall translates a carrier chamber's signs to the
 weight walls one wall at a time, through canonical_subset.
+
+lm_chain_tally walks the listed chain strata one by one, and
+composition_faces the compositions of the permutohedron's ground set with
+their multinomial weights; fubini and stirling2 are the closed recurrence
+and formula for ordered and unordered set partitions.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, factorial, lcm
 
 from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement,
                                      canonical_subset, weight_walls)
+from chamberkit.strata import chi_stratum, lm_strata
 
 
 def independent_cell_census(n, max_rounds=None):
@@ -189,3 +196,72 @@ def chamber_wall_data_per_wall(chamber):
         else:
             fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
     return walls, fixed, pairs
+
+
+def chi_term(chain):
+    """Euler characteristic of one open chain stratum: a screen with c
+    clusters is an open moduli space of c + 2 points."""
+    return chi_stratum(c + 2 for c in chain.cluster_counts())
+
+
+def lm_chain_tally(n):
+    """(by_dim, by_type, total, chi) of the chain strata, chain by chain."""
+    chains = lm_strata(n)
+    by_dim = {}
+    by_type = {}
+    chi = 0
+    for c in chains:
+        by_dim[c.dim] = by_dim.get(c.dim, 0) + 1
+        ts = c.type_string()
+        by_type[ts] = by_type.get(ts, 0) + 1
+        chi += chi_term(c)
+    return by_dim, by_type, len(chains), chi
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _multinomial(sizes):
+    out = 1
+    left = sum(sizes)
+    for s in sizes:
+        out *= comb(left, s)
+        left -= s
+    return out
+
+
+def composition_faces(m):
+    """(by_k, by_type, f_vector) of the m-dimensional permutohedron: one
+    face per ordered partition of m + 1 points, counted per composition of
+    the block sizes."""
+    ground = m + 1
+    by_k = {}
+    by_type = {}
+    for k in range(1, ground + 1):
+        for sizes in _compositions(ground, k):
+            count = _multinomial(sizes)
+            by_k[k] = by_k.get(k, 0) + count
+            key = tuple(sorted(sizes, reverse=True))
+            by_type[key] = by_type.get(key, 0) + count
+    return by_k, by_type, tuple(by_k[ground - d] for d in range(m + 1))
+
+
+def fubini(k):
+    """Ordered set partitions of k points (OEIS A000670), by the recurrence
+    a(k) = sum over j >= 1 of C(k, j) a(k - j): j points in the first block."""
+    a = [1]
+    for t in range(1, k + 1):
+        a.append(sum(comb(t, j) * a[t - j] for j in range(1, t + 1)))
+    return a[k]
+
+
+def stirling2(s, c):
+    """Set partitions of s points into c blocks, by inclusion-exclusion."""
+    return sum((-1) ** i * comb(c, i) * (c - i) ** s
+               for i in range(c + 1)) // factorial(c)

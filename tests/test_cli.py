@@ -100,6 +100,66 @@ def test_admissible_reports_pinned(n, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+_MULT_COEFFS = "1,1/2,-2/3,3/4,-4/5,5/6,-6/7,7/8,-8/9,9/10".split(",")
+
+
+def _mult_argv(order):
+    return ("invert --mode mult --method strata --coeffs %s --order %d"
+            % (",".join(_MULT_COEFFS[:order + 1]), order))
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("strata --space lm --n 4",
+     "a9cf3890b57132b1f526ba6e498c0254a397c7a4d293a8940872f6ee5b6ea8ee"),
+    ("strata --space lm --n 4 --list",
+     "f169cb84a94a83a9c3fdbd9f9ba3ed9df9f67ea171e4aa519328a5ca3547f751"),
+    ("strata --space lm --n 5",
+     "fd0c397d3163bd5796786bdaed6ab2f9936d0293cfc3e09361e57d6ddeadc328"),
+    ("strata --space lm --n 5 --list",
+     "ffe31c3e21ea13eded3aa8b4f28febb2e95f7a40aaf3d7b892b04bdc3f46301b"),
+    ("strata --space lm --n 6",
+     "b7a779e466eebe10d0fecfe7f8d3da2591d9901b7114fa4f81bffc00afdfb350"),
+    ("strata --space lm --n 6 --list",
+     "1c576bab3dd6c3b246181349a2530207c7d0b2f94338d6e1920bbdae5924681e"),
+    ("strata --space lm --n 7",
+     "434f4ff35ab744bc6e9ae8987692ee92d0d63a6a8cd090a1f32e5f1a2f5fb348"),
+    ("strata --space lm --n 7 --list",
+     "0e389a72bb7becceeaaa82993e15b36750d618e723f8e5ae327fe39b40c76d58"),
+    ("strata --space lm --n 8",
+     "d7ed56c4c4407abc362b83f9b80350a3ea283af9f912178bb4a119f3c76b3f5a"),
+    ("strata --space lm --n 8 --list",
+     "50bc6cab13efcad1116b612cc3ef24a2e7ba33025563a912c03add4d9d50b734"),
+    ("census --space lm --n 8 --save PATH",
+     "f906fca45599685705ce84fb00bdc684c6552bf9cdf2148499d6a06e80211468"),
+    (_mult_argv(2),
+     "8c014bd0afdf998650e2a9900aa4f28bb63d1cbf9f6d341139c4a79ed975043c"),
+    (_mult_argv(3),
+     "515493369c64729603fcfdfdfbf94856c7e1189cd2936972be9b54cadc0bd5d7"),
+    (_mult_argv(4),
+     "1f82c7eae97bbf17edb26d68b11afaadf3ae2479d7897689a88798709d761570"),
+    (_mult_argv(5),
+     "37101ccca5ce8102e6ed74fda6645ca76538af8687f25ee9acd403cd9b9e77c4"),
+    (_mult_argv(6),
+     "8a5597606e7dbc9420fc27132a5f3914840a1bcd95ae146ddf78afb10850d207"),
+    (_mult_argv(7),
+     "13fe112bf041582aaf8b82812eb7d77c35e6995e78b51bd02ebd7b1979f2941b"),
+    (_mult_argv(8),
+     "6bfb2de690262c4609921027d6f56de1d67495b36a441955b47c027abb9a7f37"),
+    (_mult_argv(9),
+     "3789664bf5906c2029b7370bf269ac2c218f2ed099b8565fa96e24a2fc51b650"),
+])
+def test_census_reports_pinned(argv, digest, tmp_path):
+    # sha256 of the report text as printed while the chain census walked
+    # every chain and the face census every composition; for --save, of the
+    # file written
+    path = tmp_path / "census.json"
+    text, code = run(argv.replace("PATH", str(path)).split())
+    assert code == 0
+    if "--save" in argv:
+        text = path.read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_invert_comp_strata():
     for order in ("6", "12"):
         report, code = run_json(["invert", "--mode", "comp", "--method",
@@ -357,6 +417,17 @@ def test_census_roundtrip(tmp_path):
     doctored["schema_version"] = 99
     json.dump(doctored, open(path, "w"))
     assert main(["census", "--space", "dm", "--n", "5", "--check", path]) == 1
+
+
+def test_census_save_with_check_is_refused(tmp_path, capsys):
+    path = tmp_path / "lm5.json"
+    assert main(["census", "--space", "lm", "--n", "5", "--save", str(path),
+                 "--check", os.path.join(GOLDEN, "lm_strata_5.json")]) == 1
+    assert _one_error(capsys) == \
+        "census takes --save PATH or --check PATH, not both"
+    assert not path.exists()
+    assert main(["census", "--space", "lm", "--n", "5"]) == 1
+    assert _one_error(capsys) == "census needs --save PATH or --check PATH"
 
 
 def test_golden_lm5():

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -10,13 +10,16 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, ONE, TORIC, ZERO,
                                chi_mbar, chi_open_moduli, chi_stratum,
                                classify_outgrowth,
                                degeneration_label, dm_strata,
-                               dm_valence_census, fubini, label_is_consistent,
+                               dm_valence_census, label_is_consistent,
                                lm_census, lm_point_label_census_n5, lm_strata,
                                permute_lm_chain, permutohedron_faces,
                                reduction_divisors, relabel_tree,
                                wonderful_building_set,
                                wonderful_divisor_census, _laminar_families,
-                               _ordered_partitions)
+                               _ordered_partitions, _screen)
+
+from cell_oracles import (chi_term, composition_faces, fubini,
+                          lm_chain_tally, stirling2)
 
 
 def test_dm_counts():
@@ -193,6 +196,39 @@ def test_lm_chi_identity():
         assert lm_census(n).chi == factorial(n - 2)
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lm_census_matches_chain_walk(n):
+    c = lm_census(n)
+    assert (c.by_dim, c.by_type, c.total, c.chi) == lm_chain_tally(n)
+
+
+def test_screen_counts_are_stirling_numbers():
+    # a screen of s light legs in c clusters: S(s, c) ways, dim c - 1
+    for s in range(1, 11):
+        assert _screen(s) == {(c - 1, (c + 2,)): stirling2(s, c)
+                              for c in range(1, s + 1)}
+
+
+@pytest.mark.parametrize("n,strata,chi", [
+    (4, 4, 2), (5, 26, 7), (6, 236, 34), (7, 2752, 213), (8, 39208, 1630)])
+def test_dm_fibres_over_lm_chains(n, strata, chi):
+    # Over a chain stratum the DM preimage is the stratum times the product,
+    # over its clusters cl, of the (|cl| + 1)-pointed space; a singleton
+    # cluster gives the 2-pointed one, taken as a point.
+    def count(m):
+        return 1 if m == 2 else sum(dm_valence_census(m).values())
+
+    def euler(m):
+        return 1 if m == 2 else chi_mbar(m)
+
+    chains = lm_strata(n)
+    assert sum(prod(count(len(cl) + 1) for cls in c.clusters for cl in cls)
+               for c in chains) == strata == sum(dm_valence_census(n).values())
+    assert sum(chi_term(c) * prod(euler(len(cl) + 1) for cls in c.clusters
+                                  for cl in cls)
+               for c in chains) == chi == chi_mbar(n)
+
+
 def test_lm_guards():
     with pytest.raises(ValueError):
         lm_strata(3)
@@ -296,6 +332,12 @@ def test_permutohedron_census():
     assert permutohedron_faces(0).f_vector == (1,)
     for m in (1, 2, 3, 4, 5):
         assert permutohedron_faces(m).total == fubini(m + 1)
+
+
+def test_permutohedron_matches_composition_walk():
+    for m in range(9):
+        fc = permutohedron_faces(m)
+        assert (fc.by_k, fc.by_type, fc.f_vector) == composition_faces(m)
 
 
 def test_permutohedron_oracle():
