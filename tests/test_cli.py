@@ -108,7 +108,40 @@ def _mult_argv(order):
             % (",".join(_MULT_COEFFS[:order + 1]), order))
 
 
+def _divisors_argv(n):
+    return ("divisors --from %s --to 1,1,%s"
+            % (",".join(["1"] * n), ",".join(["1/%d" % (n - 2)] * (n - 2))))
+
+
 @pytest.mark.parametrize("argv,digest", [
+    ("strata --space dm --n 4",
+     "b7bbeec1222dd81c8d1f54bed44592bcd035afd731ceaaa8488f33167c693193"),
+    ("strata --space dm --n 4 --list",
+     "bee7bbb3db4c7ccb104251811f08b6c2647df25103932b38d5f3e7a2786091bb"),
+    ("strata --space dm --n 5",
+     "94167ca4fdaa443022f3e9b00003940ef631856ea1efd6e71b67cbe3e8697ac0"),
+    ("strata --space dm --n 5 --list",
+     "55f83c9e9be33b3b07ebde47e117ba4644d832c151c03bd8970169ac24002977"),
+    ("strata --space dm --n 6",
+     "cca8b084a5fc8bf702c8c4bd8c97e02e7ce3815f4ef0d7741e7e5ce20f159b6d"),
+    ("strata --space dm --n 6 --list",
+     "6c7008d5630b84b1f63df85ae32112f2ed2ffb45bd875c3efa8529791b1f22ee"),
+    ("strata --space dm --n 7",
+     "0fa4652061e06df79b41184f0a5f8e2cca2a6f77fd55094fcdf030dd8a4589b9"),
+    ("strata --space dm --n 7 --list",
+     "82dde6088d40914d1e80f312a08b2968beae32b9f99b2e1bda9bf23d512153c3"),
+    ("strata --space dm --n 8",
+     "42e6f91599cae8e047bc23ef42d72ea4149bb5aa6787a50c5cf4078578220486"),
+    ("strata --space dm --n 8 --list",
+     "69aaf896f3e4c129d4516d6112933f0d64f13a6aeeb1628bd09d5e838c274165"),
+    ("census --space dm --n 8 --save PATH",
+     "7c5a28ed65e6099d005a35f9ec4a1de07ed479ecf529a83d8bebb133e348e440"),
+    (_divisors_argv(5),
+     "c3fd442018d99d526ab6e45091aa171acfed70a5c78f36ad7ac9d5ab3ab49a00"),
+    (_divisors_argv(6),
+     "de18bb5cc556d7f936a0f9eb8430ffa9783bc0447fc92345023f0a674bece3b3"),
+    (_divisors_argv(7),
+     "19a71c4237bb843632df676d664ad6b447ef41cbcc4c3f2c07fdbf3e752d09a8"),
     ("strata --space lm --n 4",
      "a9cf3890b57132b1f526ba6e498c0254a397c7a4d293a8940872f6ee5b6ea8ee"),
     ("strata --space lm --n 4 --list",
@@ -150,8 +183,9 @@ def _mult_argv(order):
 ])
 def test_census_reports_pinned(argv, digest, tmp_path):
     # sha256 of the report text as printed while the chain census walked
-    # every chain and the face census every composition; for --save, of the
-    # file written
+    # every chain and the face census every composition (lm and invert
+    # rows), and while each strata function kept its own size guard (dm and
+    # divisors rows); for --save, of the file written
     path = tmp_path / "census.json"
     text, code = run(argv.replace("PATH", str(path)).split())
     assert code == 0
