@@ -12,7 +12,6 @@ from .strata import dm_valence_census, permutohedron_faces
 
 MAX_ORDER = 12
 MAX_PERM_ORDER = 9
-MAX_STRATA_ORDER = MAX_ORDER
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,6 @@ def comp_inverse_strata(f):
     """Compositional inverse summed over boundary strata one level up:
     b_n collects, per stratum, the product of -a_{val-1} over vertices."""
     _require_comp(f)
-    if f.order > MAX_STRATA_ORDER:
-        raise ValueError("strata route capped at order %d" % MAX_STRATA_ORDER)
     b = [Fraction(0), Fraction(1)]
     for n in range(2, f.order + 1):
         total = Fraction(0)

@@ -4,17 +4,17 @@ divisors, chain strata of the two-heavy-points compactification, the
 permutohedron face lattice, and the wonderful blow-up building set.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from .hypersimplex import _families
 
 MAX_TREE_N = 8
 MAX_CENSUS_N = 13
-MAX_LM_N = 8
 MAX_PERM_M = 8
 MAX_DIVISOR_N = 16
 
@@ -41,6 +41,12 @@ def chi_stratum(valences):
     for v in valences:
         prod *= chi_open_moduli(v)
     return prod
+
+
+def _check_range(value, lo, hi, name="n"):
+    if not isinstance(value, int) or not lo <= value <= hi:
+        raise ValueError("%s must be an integer with %d <= %s <= %d"
+                         % (name, lo, name, hi))
 
 
 def _type_string(valences):
@@ -135,11 +141,6 @@ class StableTree:
         return _type_string(self.valences())
 
 
-def _check_tree_n(n, hi=MAX_TREE_N):
-    if not isinstance(n, int) or n < 4 or n > hi:
-        raise ValueError("n must be an integer with 4 <= n <= %d" % hi)
-
-
 def _split_masks(n):
     # bit i encodes leg i+2; sides of a split hold >= 2 legs each
     full = (1 << (n - 1)) - 1
@@ -213,8 +214,7 @@ def dm_valence_census(n):
     into k >= 2 blocks and has valence k + 1, so the census is _branch(n - 1)
     with the edge above that vertex, which is leg 1, taken out of codim.
     """
-    if not isinstance(n, int) or n < 3 or n > MAX_CENSUS_N:
-        raise ValueError("n must be an integer with 3 <= n <= %d" % MAX_CENSUS_N)
+    _check_range(n, 3, MAX_CENSUS_N)
     return dict(sorted(((codim - 1, vals), count)
                        for (codim, vals), count in _branch(n - 1).items()))
 
@@ -242,7 +242,7 @@ def _mask_to_split(mask):
 def dm_strata(n):
     """All boundary strata of the n-pointed space as stable trees, with
     censuses by codimension and by topological type."""
-    _check_tree_n(n)
+    _check_range(n, 4, MAX_TREE_N)
     trees = []
 
     def visit(fam):
@@ -250,12 +250,8 @@ def dm_strata(n):
 
     _laminar_families(n, visit)
     trees.sort(key=lambda t: (t.codim, t.splits))
-    by_codim = {}
-    by_type = {}
-    for t in trees:
-        by_codim[t.codim] = by_codim.get(t.codim, 0) + 1
-        ts = t.type_string()
-        by_type[ts] = by_type.get(ts, 0) + 1
+    by_codim, by_type = tally(
+        Counter((t.codim, t.valences()) for t in trees))[:2]
     return StrataCensus(n, tuple(trees), by_codim, by_type)
 
 
@@ -342,7 +338,6 @@ def reduction_divisors(a_weights, b_weights):
                 continue
             out.append(DivisorRecord(i_set, j_set,
                                    "M0%d" % (r + 1), "M0%d" % (n - r + 1)))
-    out.sort(key=lambda d: (len(d.i_set), d.i_set))
     return out
 
 
@@ -392,31 +387,16 @@ def _partitions_of(elems):
 
 
 def _ordered_partitions(elems):
-    """All ordered set partitions (block order significant)."""
-    elems = tuple(elems)
-    if not elems:
-        return [()]
-    out = []
-    indices = range(len(elems))
-    for r in range(1, len(elems) + 1):
-        for head_idx in combinations(indices, r):
-            head = tuple(elems[i] for i in head_idx)
-            rest = tuple(elems[i] for i in indices if i not in head_idx)
-            for tail in _ordered_partitions(rest):
-                out.append((head,) + tail)
-    return out
-
-
-def _check_lm_n(n):
-    if not isinstance(n, int) or n < 4 or n > MAX_LM_N:
-        raise ValueError("n must be an integer with 4 <= n <= %d" % MAX_LM_N)
+    """All ordered set partitions: every block order of every partition."""
+    return [order for part in _partitions_of(tuple(elems))
+            for order in permutations(part)]
 
 
 @lru_cache(maxsize=None)
 def lm_strata(n):
     """Every chain stratum for n markings with two heavy points, the open
     stratum included."""
-    _check_lm_n(n)
+    _check_range(n, 4, MAX_TREE_N)
     black = tuple(range(3, n + 1))
     out = []
     for blocks in _ordered_partitions(black):
@@ -452,7 +432,7 @@ def _screen(s):
 def lm_census(n):
     """Census of the chain strata without listing them: the light legs
     3..n split into screens in order, each screen into clusters."""
-    _check_lm_n(n)
+    _check_range(n, 4, MAX_CENSUS_N)
     return LMCensus(n, *tally(_ordered(n - 2, _screen)))
 
 
@@ -599,8 +579,7 @@ class FaceCensus:
 def permutohedron_faces(m):
     """Face census of the m-dimensional permutohedron: faces correspond to
     ordered partitions of a ground set of size m+1, dim = m+1-k."""
-    if not isinstance(m, int) or m < 0 or m > MAX_PERM_M:
-        raise ValueError("m must be an integer with 0 <= m <= %d" % MAX_PERM_M)
+    _check_range(m, 0, MAX_PERM_M, "m")
     ground = m + 1
     by_k = {}
     by_type = {}
@@ -683,8 +662,7 @@ class BuildingLattice:
 def wonderful_building_set(n):
     """Closed intersections of the triple-coincidence generators: every
     family of disjoint cliques of size at least 3 inside the light set."""
-    if not isinstance(n, int) or n < 5 or n > MAX_TREE_N:
-        raise ValueError("n must be an integer with 5 <= n <= %d" % MAX_TREE_N)
+    _check_range(n, 5, MAX_TREE_N)
     light = tuple(range(3, n + 1))
     generators = tuple(combinations(light, 3))
     clique_of = {sum(1 << x for x in c): c for size in range(3, len(light) + 1)
@@ -715,8 +693,7 @@ class WonderfulCensus:
 def wonderful_divisor_census(n):
     """One exceptional divisor per building-set element; the type pairs the
     blown-up center side with its complement, a point factor dropped."""
-    if not isinstance(n, int) or n < 5 or n > 7:
-        raise ValueError("n must be an integer with 5 <= n <= 7")
+    _check_range(n, 5, 7)
     lattice = wonderful_building_set(n)
     by_type = {}
     by_center = {}

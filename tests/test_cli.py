@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import time
 
 import pytest
@@ -265,6 +266,23 @@ def test_strata_reports():
     assert sum(1 for s in strata if s["outgrowth"] is None) == 1
 
 
+@pytest.mark.parametrize("space,total", [("dm", 188666182784),
+                                         ("lm", 25928015368)])
+def test_census_reaches_n13(space, total, tmp_path, capsys):
+    # counted, not listed, so the census runs past the listing cap of 8
+    report, code = run_json(["strata", "--space", space, "--n", "13"])
+    assert code == 0 and report["results"]["census"]["total"] == total
+    for n in ("13", "14"):
+        assert main(["strata", "--space", space, "--n", n, "--list"]) == 1
+        assert _one_error(capsys) == "n must be an integer with 4 <= n <= 8"
+    path = str(tmp_path / "census13.json")
+    assert run_json(["census", "--space", space, "--n", "13",
+                     "--save", path])[1] == 0
+    report, code = run_json(["census", "--space", space, "--n", "13",
+                             "--check", path])
+    assert code == 0 and report["results"]["match"]
+
+
 def test_dm_census_report_matches_trees():
     # the report counts by recursion; the explicit trees must agree
     for n in range(4, 8):
@@ -312,7 +330,10 @@ def test_input_errors(capsys):
     assert main(["census", "--space", "dm", "--n", "5"]) == 1
     assert main(["xi", "--point", "1,1,0,0,0"]) == 1
     assert main(["strata", "--space", "dm", "--n", "5", "--census"]) == 1
-    assert main(["strata", "--space", "dm", "--n", "9"]) == 1
+    assert main(["strata", "--space", "dm", "--n", "14"]) == 1
+    capsys.readouterr()
+    assert main(["strata", "--space", "dm", "--n", "9", "--list"]) == 1
+    assert _one_error(capsys) == "n must be an integer with 4 <= n <= 8"
     assert main(["invert", "--mode", "comp", "--method", "strata",
                  "--coeffs", "0,1", "--order", "13"]) == 1
     assert main(["nonsense"]) == 1
@@ -462,6 +483,36 @@ def test_census_save_with_check_is_refused(tmp_path, capsys):
     assert not path.exists()
     assert main(["census", "--space", "lm", "--n", "5"]) == 1
     assert _one_error(capsys) == "census needs --save PATH or --check PATH"
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_README = os.path.join(_ROOT, "README.md")
+
+
+def _readme_commands():
+    """Every chamberkit line of the README's sh blocks, as argv lists."""
+    commands = []
+    in_sh = False
+    for line in open(_README).read().splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("chamberkit "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_examples_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(_ROOT)
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        if "--save" in argv:
+            argv[argv.index("--save") + 1] = str(tmp_path / "saved.json")
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        if argv[0] == "verify":
+            assert report["results"]["checks"] == 20
+    assert "`verify` re-runs twenty internal identities" in open(_README).read()
 
 
 def test_golden_lm5():

@@ -5,7 +5,8 @@ from math import comb, factorial, prod
 
 import pytest
 
-from chamberkit.strata import (EXTENSION, GENERIC, INF, ONE, TORIC, ZERO,
+from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
+                               TORIC, ZERO,
                                DegenerationLabel, LMChain, StableTree,
                                chi_mbar, chi_open_moduli, chi_stratum,
                                classify_outgrowth,
@@ -192,8 +193,20 @@ def test_lm_counts():
 
 
 def test_lm_chi_identity():
-    for n in range(4, 8):
+    # chi = (n - 2)!, the vertices of the permutohedron of the chain space
+    for n in range(4, 14):
         assert lm_census(n).chi == factorial(n - 2)
+        if n - 3 <= MAX_PERM_M:
+            assert permutohedron_faces(n - 3).by_k[n - 2] == lm_census(n).chi
+
+
+def test_lm_census_totals_are_stirling_fubini_sums():
+    # a chain splits the n - 2 light legs into c clusters, S(n - 2, c) ways,
+    # and orders the clusters into screens, Fub(c) ways
+    for n in range(4, 14):
+        assert lm_census(n).total == sum(stirling2(n - 2, c) * fubini(c)
+                                         for c in range(1, n - 1))
+    assert lm_census(13).total == 25928015368
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -234,6 +247,9 @@ def test_lm_guards():
         lm_strata(3)
     with pytest.raises(ValueError):
         lm_strata(9)
+    with pytest.raises(ValueError):
+        lm_census(14)
+    assert lm_census(13)
 
 
 def test_lm_face_consistency():
