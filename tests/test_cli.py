@@ -195,6 +195,90 @@ def test_census_reports_pinned(argv, digest, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# The README point, then seeded points of D(4) and of D(5) on 0, 1 and 2
+# subset-sum walls.
+_PIN_POINTS = ("3/5,1/3,2/5,1/3,1/3",
+               "1/2,9/32,11/16,17/32", "12/17,13/14,1/14,5/17",
+               "5/12,5/12,7/12,7/12",
+               "56/75,8/15,16/75,12/25,2/75", "12/29,6/29,11/29,1/4,3/4",
+               "5/6,1/6,85/234,55/117,1/6")
+_LOCATE_N6 = ("3/7,11/63,22/63,13/63,26/63,3/7",
+              "1/3,27/74,11/37,2/3,17/74,4/37",
+              "1/3,5/51,6/17,2/3,1/3,11/51")
+_COMP_COEFFS = ("0,1,1/2,1/3,1/4", "0,1,-3/4,5/2,-7/9,1/6,-2,4/5")
+_PROFILE_N7 = ",".join(["2/7"] * 7)
+_PROFILE_N9 = "1/2,1/2,1/2,1/8,1/8,1/16,1/16,1/16,1/16"
+
+_QUERY_PINS = [
+    ("xi --point " + _PIN_POINTS[0],
+     "0edec73a4682ed70e12daa09af0b704e4b15b90b142309319d089c6142bd960f"),
+    ("omega --point " + _PIN_POINTS[0],
+     "b97fb49c59ec6b587a5dec0483f8a89c24649bdfc8476eb1cf4eedb36c9e6b76"),
+    ("xi --point " + _PIN_POINTS[1],
+     "c6ee3c0504481498babe8a6a0222c562ad524fb27787371741abffaa47377c1c"),
+    ("omega --point " + _PIN_POINTS[1],
+     "47630dc2cea1caaa69f938aa2bdc0a4e409e1dfd81b419d29593ad84b5a48054"),
+    ("xi --point " + _PIN_POINTS[2],
+     "c2c664cb952280443d21282eacdc6114db9a9352a84de84717153cc997bf11e4"),
+    ("omega --point " + _PIN_POINTS[2],
+     "6965b8360c3a02474b6f1d91c322492c07f9a22edaa6e5c8a48f669a793a151b"),
+    ("xi --point " + _PIN_POINTS[3],
+     "fadc5b7622833f90ab9cc85c4efd7423509bc2beab6ae466181ee0e65a70eeba"),
+    ("omega --point " + _PIN_POINTS[3],
+     "c998fae45774b2cb84fb4c088ba1bd9316e027f38134b4372a13e8333f104eac"),
+    ("xi --point " + _PIN_POINTS[4],
+     "4ed3cf2896814094f818a4e31e3926083533287022939bc3918fc5255a997251"),
+    ("omega --point " + _PIN_POINTS[4],
+     "0f8484206eb4ff3bd0a9efe3a7db188f001df7f78083d98cb03d9abdbcb0dca8"),
+    ("xi --point " + _PIN_POINTS[5],
+     "0ab50109d880ebf1b73b5fcb842bcf0622e692074594134905c615adaf1d3951"),
+    ("omega --point " + _PIN_POINTS[5],
+     "e0cdc5b39d7d35a1b5dcb0373c0a0c3bb7767124a314c3aae88afb9504675653"),
+    ("xi --point " + _PIN_POINTS[6],
+     "6fed9831070195222874bdd95826fc6a56ee9b7a9a4d0c4e2d3751a2d2439a49"),
+    ("omega --point " + _PIN_POINTS[6],
+     "4f07a56df4f1a33c3fbef928de350cdecf2d71d461f25c169fa9826227e6d302"),
+    ("chambers --n 6 --interior-only --locate " + _LOCATE_N6[0],
+     "1c649dca993875d9d3f36ab33f53b123163abf8a78cbfc1e7eb7aa45da36db4c"),
+    ("chambers --n 6 --interior-only --locate " + _LOCATE_N6[1],
+     "a7d2a1ff1bcdcb8655a676280507fe0248fa2a7a69c03414ec58947a612fdc24"),
+    ("chambers --n 6 --interior-only --locate " + _LOCATE_N6[2],
+     "4a177e66f56fd99685115d60ba226f766de2401e74df89c5c1019e3e4b5559ff"),
+    ("stability --profile --weights " + _PROFILE_N7,
+     "cc147737d51c101781c4435a36fcb9cf1859987177a117d879ecb2bf88850fcb"),
+    ("stability --profile --weights " + _PROFILE_N9,
+     "3524d3150094c12114e289a9f4bebaf5c08465ee36b9ef6039854380d094769b"),
+] + [
+    ("invert --mode comp --method direct --coeffs %s --order %d"
+     % (_COMP_COEFFS[i // 4], 9 + i % 4), digest)
+    for i, digest in enumerate((
+        "20f084685a6d0dbcd044497ea41a4364658948fcea6d674dc59bb98a5b0745fa",
+        "ba47f38fa3496fd2e57514ec276d877b67df0fbb4552b0800e1c0bf9e07973ed",
+        "9c52488a5c5eaf8caabf3762c86a16eeed0b43d5dbc3f52e7c838361d47d599b",
+        "817c692e7ad1cb0ae43c2927bbe85eb28e9d84014aec74525c9bad02fa6b10ec",
+        "bed1f5193813f66fa270b1b0d22316238387e877bb1f7d3d3efd7d836686265d",
+        "aa6f24f3d97117acbfbe6373d3b2eecbc9109bb5c6d34f81110c63dbde8c6e05",
+        "fd8f68fececde921eeefa4a6797a5c44b0aae1468303ba78416c395ae06eb052",
+        "119299583b07b2cf341e30a089e4fe92b1c9d7065bf127480a4a2e08e555cb5d"))
+]
+
+
+def _stdout_digest(argv):
+    """sha256 of what main prints for argv, and its exit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+@pytest.mark.parametrize("argv,digest", _QUERY_PINS)
+def test_query_reports_pinned(argv, digest):
+    # sha256 of stdout as printed while point tests took Fraction dot
+    # products, the witnesses were formatted through Fraction twice and the
+    # direct compositional inverse re-composed the series for every order
+    assert _stdout_digest(argv.split()) == (digest, 0)
+
+
 def test_invert_comp_strata():
     for order in ("6", "12"):
         report, code = run_json(["invert", "--mode", "comp", "--method",
