@@ -8,6 +8,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import hypersimplex as hs
@@ -28,12 +29,8 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _fmt_frac(x):
-    return format_rational(Fraction(x))
-
-
 def _fmt_vec(v):
-    return [_fmt_frac(x) for x in v]
+    return [format_rational(x) for x in v]
 
 
 def _parse_vec(text):
@@ -174,7 +171,7 @@ def _cmd_stability(args):
         results["status"] = status
         certs.append({"check": "worst-block",
                       "value": {"block": _braces(block),
-                                "total": _fmt_frac(total)},
+                                "total": format_rational(total)},
                       "pass": True})
     cls = wt.classify_linearisation(lin)
     results["classification"] = {
@@ -385,7 +382,7 @@ def _verify_weights(n, rng, certs):
     ok = (status == wt.UNSTABLE and block == (1, 2)
           and total == Fraction(7, 6))
     certs.append({"check": "stability-example",
-                  "value": {"status": status, "total": _fmt_frac(total)},
+                  "value": {"status": status, "total": format_rational(total)},
                   "pass": ok})
     cc = hs.chamber_complex(5)
     tops = [c for c in cc.chambers if c.dim == 4 and not c.on_boundary]
@@ -523,7 +520,10 @@ def _cmd_census(args):
 # argument wiring
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every request reuses it."""
     parser = _Parser(prog="chamberkit",
                      description="exact chamber, stability, strata and "
                                  "series computations")
@@ -595,8 +595,7 @@ def _build_parser():
 
 
 def run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     inputs, results, certs, notes = args.func(args)
     report = _report(args.command, inputs, results, certs, notes)
     text = _render(report, args.format)

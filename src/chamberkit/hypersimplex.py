@@ -39,6 +39,7 @@ from itertools import combinations
 from math import gcd, lcm
 
 from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
+from .ratutil import scaled
 
 MAX_N = 8
 MAX_CHAMBER_N = 6
@@ -65,10 +66,6 @@ class Hyperplane:
     subset: frozenset
     label: str
 
-    def value_sign(self, point):
-        v = sum(a * x for a, x in zip(self.normal, point)) - self.const
-        return 0 if v == 0 else (1 if v > 0 else -1)
-
 
 @dataclass(frozen=True)
 class Arrangement:
@@ -80,7 +77,14 @@ class Arrangement:
         return len(self.hyperplanes)
 
     def signs_at(self, point):
-        return "".join("0+-"[h.value_sign(point)] for h in self.hyperplanes)
+        """The sign string ("0", "+" or "-" per wall) of a point, in integer
+        arithmetic over the point's common denominator."""
+        d, nums = scaled(point)
+        out = []
+        for h in self.hyperplanes:
+            v = sum(a * x for a, x in zip(h.normal, nums)) - h.const * d
+            out.append("0" if v == 0 else ("+" if v > 0 else "-"))
+        return "".join(out)
 
 
 def canonical_subset(n, subset):
@@ -526,7 +530,7 @@ class ChamberComplex:
             x = [2 * r / total for r in raw]
             if any(xi >= 1 for xi in x):
                 continue
-            if all(h.value_sign(x) != 0 for h in self.arrangement.hyperplanes):
+            if "0" not in self.arrangement.signs_at(x):
                 return x
         raise RuntimeError("could not sample a generic interior point")
 
@@ -605,7 +609,8 @@ class ChamberComplex:
         point = tuple(Fraction(x) for x in point)
         if len(point) != self.n:
             raise ValueError("point has wrong length")
-        if sum(point) != 2 or any(x < 0 or x > 1 for x in point):
+        d, nums = scaled(point)
+        if sum(nums) != 2 * d or any(x < 0 or x > d for x in nums):
             raise ValueError("point does not lie in D(n)")
         signs = self.arrangement.signs_at(point)
         ch = self._by_signs.get(signs)
@@ -663,16 +668,17 @@ class AdmissiblePolytope:
 
     def interior_contains(self, point):
         """Exact membership of a point in the relative interior."""
-        point = tuple(Fraction(x) for x in point)
-        if sum(point) != 2:
-            return False
-        if any(x <= 0 or x >= 1 for x in point):
+        return self.interior_contains_scaled(*scaled(point))
+
+    def interior_contains_scaled(self, d, nums):
+        """interior_contains for the point nums / d (see ratutil.scaled)."""
+        if sum(nums) != 2 * d or any(x <= 0 or x >= d for x in nums):
             return False
         if self.kind == "FULL":
             return True
         if self.kind == "SECTION":
-            return sum(point[i] for i in self.subsets[0]) == 1
-        return all(sum(point[i] for i in s) < 1 for s in self.subsets)
+            return sum(nums[i] for i in self.subsets[0]) == d
+        return all(sum(nums[i] for i in s) < d for s in self.subsets)
 
 
 @lru_cache(maxsize=None)
@@ -718,8 +724,9 @@ def omega_set(chamber, polys=None):
     """
     if polys is None:
         polys = enumerate_admissible(chamber.n)
-    w = chamber.witness
-    return tuple(sorted(p.id for p in polys if p.interior_contains(w)))
+    d, nums = scaled(chamber.witness)
+    return tuple(sorted(p.id for p in polys
+                        if p.interior_contains_scaled(d, nums)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,29 @@
-"""Parsing and formatting of exact rationals as "p/q" strings."""
+"""Parsing and formatting of exact rationals as "p/q" strings, and rational
+vectors over one common denominator."""
 
 from fractions import Fraction
+from math import lcm
 
 
 def format_rational(x) -> str:
-    """Serialize a Fraction (or int) as "p/q", omitting "/q" when q == 1."""
-    x = Fraction(x)
+    """Serialize an int or Fraction as "p/q", omitting "/q" when q == 1;
+    anything else is read as Fraction(x) first."""
+    if isinstance(x, int):
+        return "%d" % x
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
+        return "%d" % x.numerator
     return "%d/%d" % (x.numerator, x.denominator)
+
+
+def scaled(vec):
+    """(d, nums): the entries of vec as integer numerators over their least
+    common denominator d > 0, so that vec[i] == nums[i] / d.  Entries are
+    ints or Fractions; anything else is read as Fraction(x) first."""
+    vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
+    d = lcm(*(x.denominator for x in vec))
+    return d, tuple(x.numerator * (d // x.denominator) for x in vec)
 
 
 def parse_rational(s: str) -> Fraction:

@@ -84,25 +84,20 @@ def _poly_mul(a, b, n_max):
     return out
 
 
-def _poly_compose(outer, inner, n_max):
-    # Horner in the inner series; requires inner constant term 0
-    res = [Fraction(0)] * (n_max + 1)
-    for c in reversed(outer):
-        res = _poly_mul(res, inner, n_max)
-        res[0] += c
-    return res
-
-
 def comp_inverse_direct(f):
-    """Triangular solve for g with g(f(x)) = x."""
+    """Triangular solve for g with g(f(x)) = x.  With f_0 = 0 and f_1 = 1
+    the x^n coefficient of g(f) is g_n + sum_{k<n} g_k [x^n] f^k, so each
+    g_n follows from the powers f^k, built once."""
     _require_comp(f)
     n_max = f.order
-    fo = list(f.ordinary())
-    g = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n_max - 1)
+    fo = f.ordinary()
+    powers = [None, fo]  # powers[k] = f^k, truncated after x^n_max
+    for _ in range(2, n_max):
+        powers.append(_poly_mul(powers[-1], fo, n_max))
+    g = [Fraction(0), Fraction(1)]
     for n in range(2, n_max + 1):
-        comp = _poly_compose(g[:n], fo, n)
-        g[n] = -comp[n]
-    return ExpSeries.from_ordinary(g[:n_max + 1])
+        g.append(-sum(g[k] * powers[k][n] for k in range(1, n)))
+    return ExpSeries.from_ordinary(g)
 
 
 def mult_inverse_permutohedral(f):

@@ -21,6 +21,7 @@ from itertools import combinations
 
 from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
                            weight_walls)
+from .ratutil import scaled
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -201,14 +202,15 @@ def semistable_profile(L):
     """All coincidence partitions with every block sum <= 1, canonically sorted.
 
     Partitions are generated as restricted-growth strings; a branch dies as
-    soon as some block exceeds total weight 1.
+    soon as some block exceeds total weight 1.  Block sums are integer
+    numerators over the weights' common denominator d.
     """
     if not isinstance(L, Linearisation):
         L = Linearisation(L)
     n = L.n
     if n > MAX_PROFILE_N:
         raise ValueError("profile enumeration guarded to n <= %d" % MAX_PROFILE_N)
-    t = L.entries
+    d, t = scaled(L.entries)
     out = []
 
     def rec(i, assign, sums):
@@ -219,11 +221,11 @@ def semistable_profile(L):
             out.append(CoincidencePartition(tuple(tuple(v) for v in blocks.values())))
             return
         for b in range(len(sums)):
-            if sums[b] + t[i] <= 1:
+            if sums[b] + t[i] <= d:
                 sums[b] += t[i]
                 rec(i + 1, assign + [b], sums)
                 sums[b] -= t[i]
-        if t[i] <= 1:
+        if t[i] <= d:
             sums.append(t[i])
             rec(i + 1, assign + [len(sums) - 1], sums)
             sums.pop()

@@ -12,6 +12,13 @@ lm_chain_tally walks the listed chain strata one by one, and
 composition_faces the compositions of the permutohedron's ground set with
 their multinomial weights; fubini and stirling2 are the closed recurrence
 and formula for ordered and unordered set partitions.
+
+The point tests in Fraction arithmetic: signs_at_fractions takes one
+Fraction dot product per wall, interior_contains_fractions tests the open
+box, the carrier sum and the polytope's walls one Fraction sum at a time,
+and semistable_profile_fractions keeps Fraction block sums.
+comp_inverse_horner re-composes the partial inverse with f by Horner's
+rule for every order.
 """
 
 from fractions import Fraction
@@ -20,7 +27,9 @@ from math import comb, factorial, lcm
 
 from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement,
                                      canonical_subset, weight_walls)
+from chamberkit.series import ExpSeries
 from chamberkit.strata import chi_stratum, lm_strata
+from chamberkit.weights import CoincidencePartition
 
 
 def independent_cell_census(n, max_rounds=None):
@@ -265,3 +274,77 @@ def stirling2(s, c):
     """Set partitions of s points into c blocks, by inclusion-exclusion."""
     return sum((-1) ** i * comb(c, i) * (c - i) ** s
                for i in range(c + 1)) // factorial(c)
+
+
+def value_sign(hyperplane, point):
+    """-1, 0 or 1: the side of the wall a point lies on."""
+    v = sum(a * x for a, x in zip(hyperplane.normal, point)) - hyperplane.const
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def signs_at_fractions(arrangement, point):
+    point = tuple(Fraction(x) for x in point)
+    return "".join("0+-"[value_sign(h, point)] for h in arrangement.hyperplanes)
+
+
+def interior_contains_fractions(poly, point):
+    point = tuple(Fraction(x) for x in point)
+    if sum(point) != 2:
+        return False
+    if any(x <= 0 or x >= 1 for x in point):
+        return False
+    if poly.kind == "FULL":
+        return True
+    if poly.kind == "SECTION":
+        return sum(point[i] for i in poly.subsets[0]) == 1
+    return all(sum(point[i] for i in s) < 1 for s in poly.subsets)
+
+
+def _truncated_product(a, b, n_max):
+    out = [Fraction(0)] * (n_max + 1)
+    for i, ai in enumerate(a[:n_max + 1]):
+        for j, bj in enumerate(b[:n_max + 1 - i]):
+            out[i + j] += ai * bj
+    return out
+
+
+def comp_inverse_horner(f):
+    """g with g(f(x)) = x: g_n is minus the x^n coefficient of g_{<n}(f),
+    composed by Horner's rule."""
+    n_max = f.order
+    fo = list(f.ordinary())
+    g = [Fraction(0), Fraction(1)] + [Fraction(0)] * (n_max - 1)
+    for n in range(2, n_max + 1):
+        comp = [Fraction(0)] * (n + 1)
+        for c in reversed(g[:n]):
+            comp = _truncated_product(comp, fo, n)
+            comp[0] += c
+        g[n] = -comp[n]
+    return ExpSeries.from_ordinary(g[:n_max + 1])
+
+
+def semistable_profile_fractions(lin):
+    """Coincidence partitions with every block sum at most 1, sorted."""
+    t = lin.entries
+    n = len(t)
+    out = []
+
+    def rec(i, assign, sums):
+        if i == n:
+            blocks = {}
+            for j, b in enumerate(assign):
+                blocks.setdefault(b, []).append(j + 1)
+            out.append(CoincidencePartition(tuple(blocks.values())))
+            return
+        for b in range(len(sums)):
+            if sums[b] + t[i] <= 1:
+                sums[b] += t[i]
+                rec(i + 1, assign + [b], sums)
+                sums[b] -= t[i]
+        if t[i] <= 1:
+            sums.append(t[i])
+            rec(i + 1, assign + [len(sums) - 1], sums)
+            sums.pop()
+
+    rec(0, [], [])
+    return tuple(sorted(out, key=lambda p: p.blocks))

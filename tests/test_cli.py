@@ -279,6 +279,32 @@ def test_query_reports_pinned(argv, digest):
     assert _stdout_digest(argv.split()) == (digest, 0)
 
 
+@pytest.mark.parametrize("first,first_code", [
+    ("--format table chambers --n 4", 0),
+    ("--out PATH chambers --n 4", 0),
+    ("chambers --n 4 --list", 0),
+    ("strata --space lm --n 5 --list", 0),
+    ("stability --weights 1/2,1/2,1/2,1/2 --profile", 0),
+    ("stability --weights 1/2,1/2", 1),
+])
+def test_parser_reuse_changes_nothing(first, first_code, tmp_path,
+                                      monkeypatch):
+    # one parser serves every request of a process; no request may leave
+    # anything behind in it for the next
+    assert _build_parser() is _build_parser()
+    path = tmp_path / "report.json"
+    argv = first.replace("PATH", str(path)).split()
+    assert _stdout_digest(argv)[1] == first_code
+    plain, digest = _QUERY_PINS[0]
+    assert _stdout_digest(plain.split()) == (digest, 0)
+    reused = _stdout_digest(["chambers", "--n", "4"])
+    fresh = _build_parser.__wrapped__()
+    assert vars(_build_parser().parse_args(plain.split())) == \
+        vars(fresh.parse_args(plain.split()))
+    monkeypatch.setattr("chamberkit.cli._build_parser", lambda: fresh)
+    assert _stdout_digest(["chambers", "--n", "4"]) == reused
+
+
 def test_invert_comp_strata():
     for order in ("6", "12"):
         report, code = run_json(["invert", "--mode", "comp", "--method",

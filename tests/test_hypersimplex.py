@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -13,7 +13,8 @@ from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
                                      hypersimplex_polytope, omega_set,
                                      permute_point, rejected_cut_families)
 from chamberkit.weights import _fine_planes, _fine_vertices
-from cell_oracles import finish_per_wall, independent_cell_census
+from cell_oracles import (finish_per_wall, independent_cell_census,
+                          interior_contains_fractions, signs_at_fractions)
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -243,6 +244,66 @@ def test_partition_property():
         hits += 1
         ch = cc.locate(pt)
         assert cc.arrangement.signs_at(pt) == ch.signs
+
+
+def _coprime_denominators(rng, count):
+    qs = []
+    while len(qs) < count:
+        q = 10 ** 12 + rng.randrange(10 ** 6)
+        if all(gcd(q, p) == 1 for p in qs):
+            qs.append(q)
+    return qs
+
+
+def _large_denominator_point(rng, n, wall):
+    """A point of the open D(n), on the given wall when one is given (0-based
+    subset), else generic.  Each part of the split shares its total in
+    near-equal shares over pairwise coprime denominators near 10**12; the
+    last coordinate of a part takes the remainder."""
+    qs = _coprime_denominators(rng, n)
+    parts = [(tuple(range(n)), 2)] if wall is None else [
+        (wall, 1), (tuple(i for i in range(n) if i not in wall), 1)]
+    x = [None] * n
+    for idx, total in parts:
+        mean = F(total, len(idx))
+        for i in idx[:-1]:
+            x[i] = F(round(qs[i] * mean * F(rng.randint(90, 110), 100)), qs[i])
+        x[idx[-1]] = total - sum(x[i] for i in idx[:-1])
+    return tuple(x)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_signs_at_matches_fraction_oracle(n):
+    # integer signs over one common denominator against Fraction dot
+    # products, at cell witnesses, relative-interior samples and points
+    # whose coprime denominators reach 10**12; D(6) in the interior
+    # complex, every 7th cell
+    cc = chamber_complex(n, interior_only=n == 6)
+    arr = cc.arrangement
+    cells = cc.chambers if n < 6 else cc.chambers[::7]
+    points = [ch.witness for ch in cells]
+    for ch in cells[::max(1, len(cells) // 40)]:
+        points += cc.sample_relative_interior(ch, 3)
+    rng = random.Random(1000 + n)
+    walls = [None] + [s for s in hs.weight_walls(n)]
+    located = [_large_denominator_point(rng, n, walls[i % len(walls)])
+               for i in range(60)]
+    for pt in points + located:
+        assert arr.signs_at(pt) == signs_at_fractions(arr, pt)
+    for pt in located:
+        assert lcm(*(x.denominator for x in pt)) > 10 ** 12
+        assert cc.locate(pt).signs == signs_at_fractions(arr, pt)
+
+
+def test_interior_contains_matches_fraction_oracle():
+    # every admissible polytope of D(5) at every cell witness
+    cc = chamber_complex(5)
+    polys = enumerate_admissible(5)
+    for ch in cc.chambers:
+        inside = [p.id for p in polys
+                  if interior_contains_fractions(p, ch.witness)]
+        assert [p.id for p in polys if p.interior_contains(ch.witness)] == inside
+        assert omega_set(ch, polys) == tuple(sorted(inside))
 
 
 def test_locate_rejects_outside():

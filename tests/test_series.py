@@ -12,6 +12,8 @@ from chamberkit.series import (MAX_ORDER, ExpSeries,
                                mult_inverse_permutohedral, word)
 from chamberkit.strata import permutohedron_faces
 
+from cell_oracles import comp_inverse_horner
+
 
 def rand_fracs(rng, count, lo=-12, hi=12):
     return [F(rng.randint(lo, hi), rng.randint(1, 12)) for _ in range(count)]
@@ -126,6 +128,15 @@ def test_strata_matches_direct():
     for order in (8, 8, 8, 8, 9, 10, 11, 12):
         s = ExpSeries([0, 1] + rand_fracs(rng, order - 1))
         assert comp_inverse_strata(s) == comp_inverse_direct(s)
+
+
+def test_direct_comp_inverse_matches_horner_oracle():
+    # the powers of f built once against re-composing for every order
+    rng = random.Random(1212)
+    for i in range(300):
+        order = 1 + i % MAX_ORDER
+        s = ExpSeries([0, 1] + rand_fracs(rng, order - 1))
+        assert comp_inverse_direct(s) == comp_inverse_horner(s)
 
 
 def test_strata_identity_series():

@@ -20,10 +20,34 @@ from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
                                 stability, stability_report, weight_signs,
                                 weight_walls, xi)
 
-from cell_oracles import chamber_wall_data_per_wall
+from cell_oracles import (chamber_wall_data_per_wall,
+                          semistable_profile_fractions)
 
 EXAMPLE_L = (F(1, 2), F(2, 3), F(5, 18), F(5, 18), F(5, 18))
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
+
+
+def _random_linearisation(rng, n):
+    """Weights summing to 2; every other draw is two groups of total 1 each,
+    so that block sums of exactly 1 occur."""
+    if rng.random() < 0.5:
+        raw = [rng.randint(1, 12) for _ in range(n)]
+        return Linearisation([F(2 * r, sum(raw)) for r in raw])
+    k = rng.randint(1, n - 1)
+    out = []
+    for size in (k, n - k):
+        raw = [rng.randint(1, 12) for _ in range(size)]
+        out += [F(r, sum(raw)) for r in raw]
+    rng.shuffle(out)
+    return Linearisation(out)
+
+
+def test_semistable_profile_matches_fraction_oracle():
+    # integer block sums over the common denominator against Fraction sums
+    rng = random.Random(808)
+    for i in range(200):
+        lin = _random_linearisation(rng, 4 + i % 5)
+        assert semistable_profile(lin) == semistable_profile_fractions(lin)
 
 
 def all_partitions(n):
