@@ -285,7 +285,7 @@ def test_signs_at_matches_fraction_oracle(n):
     for ch in cells[::max(1, len(cells) // 40)]:
         points += cc.sample_relative_interior(ch, 3)
     rng = random.Random(1000 + n)
-    walls = [None] + [s for s in hs.weight_walls(n)]
+    walls = [None] + list(hs.weight_walls(n))
     located = [_large_denominator_point(rng, n, walls[i % len(walls)])
                for i in range(60)]
     for pt in points + located:

@@ -28,8 +28,8 @@ EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
 
 def _random_linearisation(rng, n):
-    """Weights summing to 2; every other draw is two groups of total 1 each,
-    so that block sums of exactly 1 occur."""
+    """Weights summing to 2; about half of the draws are two groups of
+    total 1 each, so that block sums of exactly 1 occur."""
     if rng.random() < 0.5:
         raw = [rng.randint(1, 12) for _ in range(n)]
         return Linearisation([F(2 * r, sum(raw)) for r in raw])
