@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import cache
 from . import hypersimplex as hs
 from . import series as se
 from . import strata as st
@@ -596,12 +597,17 @@ def _build_parser():
 
 def run(argv):
     args = _build_parser().parse_args(argv)
+    builds = cache.builds
     inputs, results, certs, notes = args.func(args)
     report = _report(args.command, inputs, results, certs, notes)
     text = _render(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    if cache.builds != builds:
+        # This request filled a per-process cache: freeze what it built,
+        # so that full collections in later requests do not walk it again.
+        cache.settle()
     return text, 0 if all(c["pass"] for c in certs) else 2
 
 

@@ -34,10 +34,11 @@ the cell masks when first read.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
 
+from .cache import cached
 from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
 from .ratutil import scaled
 
@@ -103,7 +104,7 @@ def canonical_subset(n, subset):
     return s if tuple(sorted(s)) <= tuple(sorted(c)) else c
 
 
-@lru_cache(maxsize=None)
+@cached
 def weight_walls(n):
     """All subsets S with 2 <= |S| <= n-2 (0-based), by size and then
     lexicographically: the one list every subset wall and subset family
@@ -114,7 +115,7 @@ def weight_walls(n):
                  for s in combinations(range(n), size))
 
 
-@lru_cache(maxsize=None)
+@cached
 def build_arrangement(n):
     """All deduplicated walls for D(n), in canonical order: the weight walls
     that are their own canonical_subset, then the facet planes."""
@@ -135,7 +136,7 @@ def build_arrangement(n):
     return Arrangement(n, tuple(planes))
 
 
-@lru_cache(maxsize=None)
+@cached
 def carrier_walls(n):
     """Each weight wall S as seen on the carrier sum x = 2: the index of its
     sum plane in build_arrangement(n), whether that plane is the wall of
@@ -233,35 +234,40 @@ def _solutions(rows, m, compatible=None):
     together with row i.  The same point may be listed more than once.
     """
     out = []
-
-    def recurse(start, allowed, ech, pivs):
-        depth = len(ech)
-        if depth == m:
-            # Back substitution over a common denominator d: x = xs / d.
-            xs = [0] * m
-            d = 1
-            for (co, rh), p in reversed(list(zip(ech, pivs))):
-                t = rh * d - sum(c * v for c, v in zip(co, xs))
-                xs = [v * co[p] for v in xs]
-                xs[p] = t
-                d *= co[p]
-            out.append([Fraction(v, d) for v in xs])
-            return
-        for i in range(start, len(rows) - (m - depth) + 1):
-            if not (allowed >> i) & 1:
-                continue
-            co, rh, piv = _eliminate(rows[i][0], rows[i][1], ech, pivs)
-            if piv < 0:
-                continue  # dependent or inconsistent: no rank gain from this row
-            g = gcd(rh, *co)
-            if g > 1:
-                co = [c // g for c in co]
-                rh //= g
-            recurse(i + 1, allowed & compatible[i] if compatible else allowed,
-                    ech + [(co, rh)], pivs + [piv])
-
-    recurse(0, (1 << len(rows)) - 1, [], [])
+    _solve_from(rows, m, compatible, 0, (1 << len(rows)) - 1, [], [], out)
     return out
+
+
+def _solve_from(rows, m, compatible, start, allowed, ech, pivs, out):
+    """One node of the search in _solutions: extend the echelon form ech by
+    rows from index start on, within the bitmask allowed.  A module-level
+    function, not a closure that calls itself, so that no reference cycle
+    keeps out alive after the search."""
+    depth = len(ech)
+    if depth == m:
+        # Back substitution over a common denominator d: x = xs / d.
+        xs = [0] * m
+        d = 1
+        for (co, rh), p in reversed(list(zip(ech, pivs))):
+            t = rh * d - sum(c * v for c, v in zip(co, xs))
+            xs = [v * co[p] for v in xs]
+            xs[p] = t
+            d *= co[p]
+        out.append([Fraction(v, d) for v in xs])
+        return
+    for i in range(start, len(rows) - (m - depth) + 1):
+        if not (allowed >> i) & 1:
+            continue
+        co, rh, piv = _eliminate(rows[i][0], rows[i][1], ech, pivs)
+        if piv < 0:
+            continue  # dependent or inconsistent: no rank gain from this row
+        g = gcd(rh, *co)
+        if g > 1:
+            co = [c // g for c in co]
+            rh //= g
+        _solve_from(rows, m, compatible, i + 1,
+                    allowed & compatible[i] if compatible else allowed,
+                    ech + [(co, rh)], pivs + [piv], out)
 
 
 def _families(masks, compatible, visit):
@@ -636,7 +642,7 @@ class ChamberComplex:
         return points
 
 
-@lru_cache(maxsize=None)
+@cached
 def chamber_complex(n, interior_only=False):
     return ChamberComplex(n, interior_only=interior_only)
 
@@ -681,7 +687,7 @@ class AdmissiblePolytope:
         return all(sum(nums[i] for i in s) < d for s in self.subsets)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _admissible(n):
     _check_n(n)
     accepted = [AdmissiblePolytope(n, "FULL", (), n - 1)]

@@ -5,9 +5,9 @@ permutohedra with face generating functions.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 
+from .cache import cached
 from .strata import dm_valence_census, permutohedron_faces
 
 MAX_ORDER = 12
@@ -238,7 +238,7 @@ class FaceGenFun:
         return total
 
 
-@lru_cache(maxsize=None)
+@cached
 def generating_function(m):
     census = permutohedron_faces(m).by_type
     per_codim = [dict() for _ in range(m + 1)]

@@ -7,10 +7,10 @@ permutohedron face lattice, and the wonderful blow-up building set.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+from .cache import cached
 from .hypersimplex import _families
 
 MAX_TREE_N = 8
@@ -163,7 +163,7 @@ def _merge(a, b):
     return out
 
 
-@lru_cache(maxsize=None)
+@cached
 def _blocks(m, k, carry):
     """Census of the ways to split m labelled legs into k unordered blocks,
     a block of s legs carrying the census carry(s).  Every boundary census
@@ -190,7 +190,7 @@ def _ordered(m, carry):
     return out
 
 
-@lru_cache(maxsize=None)
+@cached
 def _branch(m):
     """Census of what hangs below one edge carrying m legs: a bare leg when
     m = 1, else a vertex of valence j + 1 over j >= 2 blocks, the edge adding
@@ -205,7 +205,7 @@ def _branch(m):
     return out
 
 
-@lru_cache(maxsize=None)
+@cached
 def dm_valence_census(n):
     """Census of boundary strata keyed by (codim, valence multiset).
 
@@ -238,7 +238,7 @@ def _mask_to_split(mask):
     return tuple(i + 2 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-@lru_cache(maxsize=None)
+@cached
 def dm_strata(n):
     """All boundary strata of the n-pointed space as stable trees, with
     censuses by codimension and by topological type."""
@@ -255,7 +255,7 @@ def dm_strata(n):
     return StrataCensus(n, tuple(trees), by_codim, by_type)
 
 
-@lru_cache(maxsize=None)
+@cached
 def chi_mbar(n):
     """Euler characteristic of the compactified n-pointed space, via the
     universal-curve fibration over the (n-1)-pointed census."""
@@ -392,7 +392,7 @@ def _ordered_partitions(elems):
             for order in permutations(part)]
 
 
-@lru_cache(maxsize=None)
+@cached
 def lm_strata(n):
     """Every chain stratum for n markings with two heavy points, the open
     stratum included."""
@@ -428,7 +428,7 @@ def _screen(s):
             for c in range(1, s + 1)}
 
 
-@lru_cache(maxsize=None)
+@cached
 def lm_census(n):
     """Census of the chain strata without listing them: the light legs
     3..n split into screens in order, each screen into clusters."""
@@ -575,7 +575,7 @@ class FaceCensus:
     total: int
 
 
-@lru_cache(maxsize=None)
+@cached
 def permutohedron_faces(m):
     """Face census of the m-dimensional permutohedron: faces correspond to
     ordered partitions of a ground set of size m+1, dim = m+1-k."""
@@ -658,7 +658,7 @@ class BuildingLattice:
         return IntersectionLocus(self.n, _closure_components(self.n, pairs))
 
 
-@lru_cache(maxsize=None)
+@cached
 def wonderful_building_set(n):
     """Closed intersections of the triple-coincidence generators: every
     family of disjoint cliques of size at least 3 inside the light set."""

@@ -16,9 +16,9 @@ witness by exact linear algebra.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
+from .cache import cached
 from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
                            weight_walls)
 from .ratutil import scaled
@@ -212,26 +212,35 @@ def semistable_profile(L):
         raise ValueError("profile enumeration guarded to n <= %d" % MAX_PROFILE_N)
     d, t = scaled(L.entries)
     out = []
-
-    def rec(i, assign, sums):
-        if i == n:
-            blocks = {}
-            for j, b in enumerate(assign):
-                blocks.setdefault(b, []).append(j + 1)
-            out.append(CoincidencePartition(tuple(tuple(v) for v in blocks.values())))
-            return
-        for b in range(len(sums)):
-            if sums[b] + t[i] <= d:
-                sums[b] += t[i]
-                rec(i + 1, assign + [b], sums)
-                sums[b] -= t[i]
-        if t[i] <= d:
-            sums.append(t[i])
-            rec(i + 1, assign + [len(sums) - 1], sums)
-            sums.pop()
-
-    rec(0, [], [])
+    _grow_profile(t, d, [], [], out)
     return tuple(sorted(out, key=lambda p: p.blocks))
+
+
+def _grow_profile(t, d, assign, sums, out):
+    """Extend the restricted-growth string `assign` (block of each point so
+    far, with block sums `sums`) in every way that keeps each sum <= d, and
+    append the finished partitions to out.
+
+    A module-level function rather than a closure that calls itself: such a
+    closure is a reference cycle, and it would keep `out` and every
+    partition in it alive after the call, until the next full collection.
+    """
+    i = len(assign)
+    if i == len(t):
+        blocks = {}
+        for j, b in enumerate(assign):
+            blocks.setdefault(b, []).append(j + 1)
+        out.append(CoincidencePartition(tuple(tuple(v) for v in blocks.values())))
+        return
+    for b in range(len(sums)):
+        if sums[b] + t[i] <= d:
+            sums[b] += t[i]
+            _grow_profile(t, d, assign + [b], sums, out)
+            sums[b] -= t[i]
+    if t[i] <= d:
+        sums.append(t[i])
+        _grow_profile(t, d, assign + [len(sums) - 1], sums, out)
+        sums.pop()
 
 
 def delete_coordinate(L, q):
@@ -263,7 +272,7 @@ def rescale_to_carrier(A):
 # The weight-domain wall arrangement.
 
 
-@lru_cache(maxsize=None)
+@cached
 def coarse_walls(n):
     """The strict window 2 < |S| < n-2; empty for n = 5 as literally stated."""
     return tuple(s for s in weight_walls(n) if 2 < len(s) < n - 2)
@@ -323,7 +332,7 @@ def _fine_vertices(planes, n):
                    if all(0 <= v <= 1 for v in x) and sum(x) >= 2})
 
 
-@lru_cache(maxsize=None)
+@cached
 def fine_chambers(n):
     """Every full-dimensional chamber of D(0,n).
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -10,10 +11,11 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chamberkit import cache
 from chamberkit.cli import _build_parser, main, run
 from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_vector
-from chamberkit.strata import dm_strata
+from chamberkit.strata import dm_strata, permutohedron_faces
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -303,6 +305,37 @@ def test_parser_reuse_changes_nothing(first, first_code, tmp_path,
         vars(fresh.parse_args(plain.split()))
     monkeypatch.setattr("chamberkit.cli._build_parser", lambda: fresh)
     assert _stdout_digest(["chambers", "--n", "4"]) == reused
+
+
+def test_cached_counts_misses_only():
+    @cache.cached
+    def square(x):
+        return x * x
+
+    start = cache.builds
+    assert (square(3), square(3), square(4)) == (9, 9, 16)
+    assert cache.builds - start == 2
+    assert square.cache_info().hits == 1
+
+
+def test_run_freezes_the_heap_after_a_build_only():
+    # a request that fills a per-process cache collects and freezes what is
+    # alive, so that later full collections skip it; a warm one does not
+    argv = ["invert", "--mode", "mult", "--method", "strata",
+            "--coeffs", "1,1,1/2,1/3", "--order", "3"]
+    text, code = run(argv)
+    builds, frozen = cache.builds, gc.get_freeze_count()
+    assert run(argv) == (text, code)
+    assert cache.builds == builds and gc.get_freeze_count() <= frozen
+    permutohedron_faces.cache_clear()
+    assert run(argv) == (text, code)
+    assert cache.builds > builds
+    misses = permutohedron_faces.cache_info().misses
+    built = permutohedron_faces(2)  # the census the request built
+    assert permutohedron_faces.cache_info().misses == misses
+    # frozen objects are in no generation of the collector
+    assert gc.is_tracked(built)
+    assert not any(o is built for o in gc.get_objects())
 
 
 def test_invert_comp_strata():

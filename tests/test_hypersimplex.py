@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from math import gcd, lcm
@@ -519,3 +520,18 @@ def test_relative_interior_sampling():
 def test_hypersimplex_polytope_dim():
     from chamberkit.exactgeom import affine_dimension
     assert affine_dimension(hypersimplex_polytope(4)) == 3
+
+
+def test_solutions_leave_no_reference_cycle():
+    # one solution per independent 3-subset of the rows, and no reference
+    # cycle that keeps the search's lists alive after it returns
+    rows = [([1, 0, 0], 1), ([0, 1, 0], 1), ([0, 0, 1], 1), ([1, 1, 1], 2)]
+    gc.collect()
+    gc.disable()
+    try:
+        sols = hs._solutions(rows, 3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert sorted(map(tuple, sols)) == [(0, 1, 1), (1, 0, 1), (1, 1, 0),
+                                        (1, 1, 1)]

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -48,6 +49,18 @@ def test_semistable_profile_matches_fraction_oracle():
     for i in range(200):
         lin = _random_linearisation(rng, 4 + i % 5)
         assert semistable_profile(lin) == semistable_profile_fractions(lin)
+
+
+def test_semistable_profile_leaves_no_reference_cycle():
+    # the partitions go with the last reference to the profile, not at the
+    # next full collection of the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(semistable_profile(["2/7"] * 7)) == 652
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def all_partitions(n):
