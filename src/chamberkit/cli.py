@@ -370,7 +370,7 @@ def _verify_chambers(n, rng, certs):
                  for k in ("FULL", "SECTION", "CUTS")]
         certs.append(_cert("admissible-counts-n5", kinds, [1, 10, 35]))
     interior = [ch for ch in cc.chambers if not ch.on_boundary]
-    omega_ok = all(hs.omega_set(ch, polys) for ch in
+    omega_ok = all(hs.omega_set(ch) for ch in
                    rng.sample(interior, min(6, len(interior))))
     certs.append(_cert("omega-nonempty-interior", omega_ok, True))
 
@@ -477,8 +477,7 @@ def save_census(path, space, n):
         "certificates": certs,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_render(payload, "json"))
     return payload
 
 
@@ -603,7 +602,8 @@ def run(argv):
     text = _render(report, args.format)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+            fh.write(text if args.format == "json"
+                     else _render(report, "json"))
     if cache.builds != builds:
         # This request filled a per-process cache: freeze what it built,
         # so that full collections in later requests do not walk it again.

@@ -57,10 +57,6 @@ class LinConstraint:
                 ints = [-v for v in ints]
         return LinConstraint(tuple(Fraction(v) for v in ints[:-1]), self.rel, Fraction(ints[-1]))
 
-    def key(self):
-        c = self.normalized()
-        return (c.rel, tuple(c.coeffs), c.const)
-
     def evaluate(self, point):
         return sum(a * x for a, x in zip(self.coeffs, point))
 
@@ -106,14 +102,6 @@ class HPolytope:
             if len(c.coeffs) != self.ambient_dim:
                 raise ValueError("constraint arity %d != ambient dimension %d"
                                  % (len(c.coeffs), self.ambient_dim))
-
-    def canonical(self):
-        rows = sorted(set(c.key() for c in self.constraints))
-        cons = tuple(LinConstraint(cs, rel, ct) for rel, cs, ct in rows)
-        return HPolytope(self.ambient_dim, cons)
-
-    def contains(self, point) -> bool:
-        return all(c.holds(point) for c in self.constraints)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ elimination (_solutions).
 
 CellEngine holds the cells of an arrangement as bitmasks of the 0-cells in
 their closures, and finds the full-dimensional cells by breadth-first search
-across shared facets.  It serves both decompositions cut by these walls:
+across shared facets from the cell of generic_point, a closed-form point on
+no wall.  It serves both decompositions cut by these walls:
 ChamberComplex here, which then closes cell closures against each wall to
 reach the lower cells, and weights.fine_chambers on the weight domain.
 
@@ -25,10 +26,11 @@ Each cell is finished with a few big-integer operations.  The engine keeps,
 for each 0-cell, a plane mask of the planes it lies on and one of the planes
 it lies above; a cell lies on the AND of the first over its 0-cells and
 above the OR of the second, and its sign string is read off the two masks.
-The dimension of a cell is that of its flat, the intersection of the walls
-it lies on, and the rank behind it is computed once per flat.  The face
-adjacency of ChamberComplex is not kept by the build; it is recomputed from
-the cell masks when first read.
+Every dimension is one routine, CellEngine.rank, the affine rank of a cell's
+0-cells: the search uses it on facets, and ChamberComplex on the first cell
+of each flat (the cells on one zero plane mask share their dimension).  The
+face adjacency of ChamberComplex is not kept by the build; it is recomputed
+from the cell masks when first read.
 """
 
 import random
@@ -151,6 +153,19 @@ def carrier_walls(n):
         comp = tuple(i for i in range(n) if i not in s)
         out.append((plane[canon], canon != frozenset(s), index[comp]))
     return tuple(out)
+
+
+def generic_point(n, deficit):
+    """The point x_i = 2 (2^n + 2^i) / ((n + 1) 2^n - deficit), the seed of
+    the breadth-first search over both arrangements cut by the weight walls.
+
+    For odd deficit every numerator is even and the denominator odd, so no
+    coordinate is 1 and no subset sums to 1.  deficit = 1 gives sum x = 2, a
+    point of the open D(n); deficit = 3 gives sum x above 2 with every
+    coordinate below 1, a point of the open D(0,n).
+    """
+    den = (n + 1) * 2 ** n - deficit
+    return tuple(Fraction(2 * (2 ** n + 2 ** i), den) for i in range(n))
 
 
 def _box(n, rel):
@@ -348,11 +363,6 @@ class CellEngine:
         top = len(self.planes) - 1
         return sum(1 << 8 * (top - hi) for hi in indices)
 
-    def plane_indices(self, pmask):
-        """The planes in a plane mask, in order."""
-        return [hi for hi, b in enumerate(pmask.to_bytes(len(self.planes), "big"))
-                if b]
-
     def zero_plus(self, mask):
         """The plane masks of the planes a cell lies on and strictly above."""
         on, above = self.on, self.above
@@ -430,17 +440,6 @@ class CellEngine:
 
 # ---------------------------------------------------------------------------
 # 0-cells: search by support and pairwise crossing walls.
-
-
-def _reduced_rows(arrangement):
-    """Walls written in the carrier chart x_n = 2 - x_1 - ... - x_{n-1}."""
-    n = arrangement.n
-    m = n - 1
-    rows = []
-    for h in arrangement.hyperplanes:
-        an = h.normal[m]
-        rows.append((tuple(h.normal[i] - an for i in range(m)), h.const - 2 * an))
-    return rows
 
 
 def _crosses(s, t, full):
@@ -523,22 +522,9 @@ class ChamberComplex:
         sum_idx = [i for i, h in enumerate(arr.hyperplanes) if h.kind == "sum"]
         self._box = cells.plane_mask(i for i, h in enumerate(arr.hyperplanes)
                                      if h.kind != "sum")
-        seed = cells.sigbits(self._seed_point())
+        seed = cells.sigbits(generic_point(self.n, 1))
         top = cells.top_cells(seed, sum_idx, self.n - 1)
         self._finalize(self._close_faces(top))
-
-    def _seed_point(self):
-        n = self.n
-        rng = random.Random(0x5EED + 101 * n)
-        for _ in range(10000):
-            raw = [Fraction(rng.randint(1, 9973), 1) for _ in range(n)]
-            total = sum(raw)
-            x = [2 * r / total for r in raw]
-            if any(xi >= 1 for xi in x):
-                continue
-            if "0" not in self.arrangement.signs_at(x):
-                return x
-        raise RuntimeError("could not sample a generic interior point")
 
     def _close_faces(self, tops):
         """Walk every cell closure down to its faces via wall intersections.
@@ -566,18 +552,16 @@ class ChamberComplex:
     def _finalize(self, found):
         n = self.n
         cells = self._cells
-        rows = _reduced_rows(self.arrangement)
-        flat_rank = {}
+        flat_dim = {}
         records = []
         for mask, (z, p) in found.items():
             boundary = bool(z & self._box)
             if self.interior_only and boundary:
                 continue
-            rank = flat_rank.get(z)
-            if rank is None:
-                rank = flat_rank[z] = _rank(
-                    (rows[hi][0] for hi in cells.plane_indices(z)), n - 1)
-            records.append((n - 1 - rank, cells.signs(z, p), cells.witness(mask),
+            dim = flat_dim.get(z)
+            if dim is None:
+                dim = flat_dim[z] = cells.rank(mask, n - 1)
+            records.append((dim, cells.signs(z, p), cells.witness(mask),
                             boundary, mask))
         records.sort(key=lambda r: (r[0], r[1]))
         self.chambers = []
@@ -722,16 +706,14 @@ def rejected_cut_families(n):
     return list(_admissible(n)[1])
 
 
-def omega_set(chamber, polys=None):
+def omega_set(chamber):
     """Ids of the admissible polytopes whose relative interior contains the cell.
 
     A cell with a fixed sign vector lies either inside or outside each
     admissible interior, so testing the exact witness decides membership.
     """
-    if polys is None:
-        polys = enumerate_admissible(chamber.n)
     d, nums = scaled(chamber.witness)
-    return tuple(sorted(p.id for p in polys
+    return tuple(sorted(p.id for p in _admissible(chamber.n)[0]
                         if p.interior_contains_scaled(d, nums)))
 
 

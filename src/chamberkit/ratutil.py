@@ -1,8 +1,13 @@
 """Parsing and formatting of exact rationals as "p/q" strings, and rational
 vectors over one common denominator."""
 
+import re
 from fractions import Fraction
 from math import lcm
+
+# p or p/q, each an optional sign and ASCII digits: int() alone would also
+# take "_" separators, inner whitespace and non-ASCII digits.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def format_rational(x) -> str:
@@ -27,16 +32,16 @@ def scaled(vec):
 
 
 def parse_rational(s: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction. Rejects floats and empty input."""
+    """Parse "p/q" or "p", surrounding whitespace allowed, into a Fraction.
+    Rejects floats, empty input and anything but a sign and ASCII digits."""
     s = s.strip()
     if not s:
         raise ValueError("empty rational")
-    if "." in s or "e" in s or "E" in s:
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
         raise ValueError("rationals must be given exactly as p/q, got %r" % s)
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    num, den = match.groups()
+    return Fraction(int(num), int(den or 1))
 
 
 def parse_vector(s: str) -> tuple:

@@ -8,10 +8,10 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cache import cached
-from .strata import dm_valence_census, permutohedron_faces
+from .strata import MAX_PERM_M, dm_valence_census, permutohedron_faces
 
 MAX_ORDER = 12
-MAX_PERM_ORDER = 9
+MAX_PERM_ORDER = MAX_PERM_M + 1  # order n reads the (n-1)-permutohedron
 
 
 @dataclass(frozen=True)

@@ -308,9 +308,10 @@ def _weight_entries(w):
 def reduction_divisors(a_weights, b_weights):
     """Divisors contracted by the reduction from weights A down to B <= A.
 
-    A divisor splits the markings into I and J with leg 1 conventionally in
-    J; it is contracted exactly when the I-side weight total drops to 1 or
-    below, while both sides stay A-stable.
+    A divisor splits the markings into I and J, I the side whose B-weight
+    total drops to 1 or below; at most one side can, since B sums to more
+    than 2.  It is contracted exactly when that happens while both sides
+    stay A-stable.
     """
     a = _weight_entries(a_weights)
     b = _weight_entries(b_weights)

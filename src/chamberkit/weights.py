@@ -13,14 +13,13 @@ cell whose closure contains it, read off the local cone at the chamber's
 witness by exact linear algebra.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .cache import cached
 from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
-                           weight_walls)
+                           generic_point, weight_walls)
 from .ratutil import scaled
 
 STABLE = "STABLE"
@@ -347,15 +346,10 @@ def fine_chambers(n):
     walls = weight_walls(n)
     planes = _fine_planes(n)
     cells = CellEngine(planes, _fine_vertices(planes, n))
-    rng = random.Random(48271 + n)
-    while True:
-        raw = [Fraction(rng.randint(1, 499), 500) for _ in range(n)]
-        if (sum(raw) > 2 and all(x != 1 for x in raw)
-                and all(sum(raw[i] for i in s) != 1 for s in walls)):
-            break
     nw = len(walls)
     items = []
-    for sig, mask in cells.top_cells(cells.sigbits(raw), range(nw), n).items():
+    seed = cells.sigbits(generic_point(n, 3))
+    for sig, mask in cells.top_cells(seed, range(nw), n).items():
         signs = "".join("+" if (sig >> i) & 1 else "-" for i in range(nw))
         items.append((signs, cells.witness(mask)))
     return tuple(FineChamber(n, signs, witness, idx)

@@ -4,7 +4,8 @@ kept as test oracles.
 independent_cell_census finds the cells of D(n) by a route separate from
 the cell engine.  finish_per_wall repeats the last half of the
 ChamberComplex build the plain way: per-wall sign strings, one echelon rank
-per cell and the face edges collected during the closure.
+of the zero walls in the carrier chart (_reduced_rows) per cell, and the
+face edges collected during the closure.
 chamber_wall_data_per_wall translates a carrier chamber's signs to the
 weight walls one wall at a time, through canonical_subset.
 
@@ -25,8 +26,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
 
-from chamberkit.hypersimplex import (_rank, _reduced_rows, build_arrangement,
-                                     canonical_subset, weight_walls)
+from chamberkit.hypersimplex import (_rank, build_arrangement, canonical_subset,
+                                     generic_point, weight_walls)
 from chamberkit.series import ExpSeries
 from chamberkit.strata import chi_stratum, lm_strata
 from chamberkit.weights import CoincidencePartition
@@ -119,6 +120,17 @@ def _gauss_solve(mat, m):
     return [rows[i][m] for i in range(m)]
 
 
+def _reduced_rows(arrangement):
+    """Walls written in the carrier chart x_n = 2 - x_1 - ... - x_{n-1}."""
+    n = arrangement.n
+    m = n - 1
+    rows = []
+    for h in arrangement.hyperplanes:
+        an = h.normal[m]
+        rows.append((tuple(h.normal[i] - an for i in range(m)), h.const - 2 * an))
+    return rows
+
+
 def finish_per_wall(cc):
     """(chambers, counts_by_dim, adjacency) of cc rebuilt from its top cells
     with a per-wall sign loop, a rank per cell and an edge set.
@@ -145,7 +157,7 @@ def finish_per_wall(cc):
         return tuple(sum(col) / len(pts) for col in zip(*pts))
 
     sum_idx = [hi for hi, h in enumerate(planes) if h.kind == "sum"]
-    tops = cells.top_cells(cells.sigbits(cc._seed_point()), sum_idx, n - 1)
+    tops = cells.top_cells(cells.sigbits(generic_point(n, 1)), sum_idx, n - 1)
     seen = set(tops.values())
     stack = list(seen)
     edges = set()

@@ -7,6 +7,7 @@ import json
 import os
 import shlex
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -556,11 +557,14 @@ def test_out_writes_the_json_report(tmp_path, capsys):
     path = tmp_path / "report.json"
     argv = ["--out", str(path), "chambers", "--n", "4"]
     assert main(argv) == 0
-    assert path.read_text() == capsys.readouterr().out
-    assert json.loads(path.read_text())["results"]["total"] == 53
+    stdout = capsys.readouterr().out
+    assert path.read_text() == stdout
+    assert json.loads(stdout)["results"]["total"] == 53
+    # under --format table the file holds the same bytes as the JSON stdout
+    path.unlink()
     assert main(["--format", "table"] + argv) == 0
     assert "results.total: 53" in capsys.readouterr().out
-    assert json.loads(path.read_text())["results"]["total"] == 53
+    assert path.read_text() == stdout
 
 
 def test_chamber_guard_n7(capsys):
@@ -577,6 +581,18 @@ def test_parse_vector_rejects_empty_fields(capsys):
     assert parse_vector(" 1, 2 ") == (1, 2)
     assert main(["invert", "--mode", "mult", "--coeffs", "1,,2"]) == 1
     _one_error(capsys)
+
+
+def test_parse_vector_reads_only_sign_and_ascii_digits(capsys):
+    # int() alone would read "1_0" as 10 and "\u0663" as 3
+    for text in ("1_0/2_0,1/2", "\u0663/\u0664,1/2", "1 / 2", "0x10"):
+        with pytest.raises(ValueError):
+            parse_vector(text)
+    assert parse_vector(" +1/-2,-3/4 ") == (Fraction(-1, 2), Fraction(-3, 4))
+    assert main(["stability", "--weights", "1_0/20,1/2,1/2,1/2"]) == 1
+    assert _one_error(capsys) == (
+        "bad rational vector '1_0/20,1/2,1/2,1/2': "
+        "rationals must be given exactly as p/q, got '1_0/20'")
 
 
 def test_census_check_rejects_non_object(tmp_path, capsys):

@@ -8,13 +8,14 @@ import pytest
 from chamberkit import hypersimplex as hs
 from chamberkit.exactgeom import EQ, LinConstraint, eq, ge, gt, le, lp_feasible, lt
 from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
-                                     _reduced_rows, build_arrangement,
-                                     chamber_complex,
+                                     build_arrangement, chamber_complex,
                                      enumerate_admissible, enumerate_chambers,
-                                     hypersimplex_polytope, omega_set,
-                                     permute_point, rejected_cut_families)
+                                     generic_point, hypersimplex_polytope,
+                                     omega_set, permute_point,
+                                     rejected_cut_families)
 from chamberkit.weights import _fine_planes, _fine_vertices
-from cell_oracles import (finish_per_wall, independent_cell_census,
+from cell_oracles import (_reduced_rows, finish_per_wall,
+                          independent_cell_census,
                           interior_contains_fractions, signs_at_fractions)
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
@@ -184,6 +185,18 @@ def test_finish_matches_per_wall_oracle(n, interior_only):
     assert cc.adjacency == adjacency
 
 
+@pytest.mark.parametrize("n", range(4, 9))
+def test_generic_points_lie_on_no_wall(n):
+    # the carrier seed: a point of the open D(n) on no plane of the arrangement
+    x = generic_point(n, 1)
+    assert sum(x) == 2 and all(0 < v < 1 for v in x)
+    assert "0" not in build_arrangement(n).signs_at(x)
+    # the weight-domain seed: a point of the open D(0,n) on no weight wall
+    y = generic_point(n, 3)
+    assert sum(y) > 2 and all(0 < v < 1 for v in y)
+    assert all(sum(y[i] for i in s) != 1 for s in hs.weight_walls(n))
+
+
 def test_cell_counts_frozen():
     # counts certified by the independent midpoint-saturation oracle
     by_dim = {}
@@ -304,7 +317,7 @@ def test_interior_contains_matches_fraction_oracle():
         inside = [p.id for p in polys
                   if interior_contains_fractions(p, ch.witness)]
         assert [p.id for p in polys if p.interior_contains(ch.witness)] == inside
-        assert omega_set(ch, polys) == tuple(sorted(inside))
+        assert omega_set(ch) == tuple(sorted(inside))
 
 
 def test_locate_rejects_outside():
@@ -397,9 +410,8 @@ def test_admissible_n6_examples():
 
 def test_omega_full_membership():
     cc = chamber_complex(4)
-    polys = enumerate_admissible(4)
     for ch in cc.chambers:
-        om = omega_set(ch, polys)
+        om = omega_set(ch)
         if ch.on_boundary:
             assert "FULL" not in om
         else:
@@ -498,14 +510,14 @@ def test_omega_lp_cross_validation_n4():
     cc = chamber_complex(4)
     polys = enumerate_admissible(4)
     for ch in cc.chambers[::3]:
-        assert omega_set(ch, polys) == _omega_lp_oracle(cc, ch, polys)
+        assert omega_set(ch) == _omega_lp_oracle(cc, ch, polys)
 
 
 def test_omega_lp_cross_validation_n5_sample():
     cc = chamber_complex(5)
     polys = enumerate_admissible(5)
     for ch in cc.chambers[::61]:
-        assert omega_set(ch, polys) == _omega_lp_oracle(cc, ch, polys)
+        assert omega_set(ch) == _omega_lp_oracle(cc, ch, polys)
 
 
 def test_relative_interior_sampling():
