@@ -16,7 +16,7 @@ from . import hypersimplex as hs
 from . import series as se
 from . import strata as st
 from . import weights as wt
-from .ratutil import format_rational, parse_vector
+from .ratutil import format_rational, parse_int, parse_vector
 
 SCHEMA_VERSION = 1
 
@@ -28,6 +28,15 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(message)
+
+
+def _int(text):
+    """argparse type of the integer options: parse_int, with the message
+    argparse gives for type=int."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
 def _fmt_vec(v):
@@ -72,22 +81,25 @@ def _render(report, fmt):
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2) + "\n"
     lines = []
-
-    def walk(prefix, obj):
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                walk(prefix + "." + str(k) if prefix else str(k), obj[k])
-        elif isinstance(obj, list):
-            if all(not isinstance(x, (dict, list)) for x in obj):
-                lines.append("%s: %s" % (prefix, " ".join(map(str, obj))))
-            else:
-                for i, x in enumerate(obj):
-                    walk("%s[%d]" % (prefix, i), x)
-        else:
-            lines.append("%s: %s" % (prefix, obj))
-
-    walk("", report)
+    _table_rows("", report, lines)
     return "\n".join(lines) + "\n"
+
+
+def _table_rows(prefix, obj, lines):
+    """Append the table rows of obj, keyed under prefix, to lines.  A
+    module-level function, not a closure that calls itself, so that no
+    reference cycle is left behind per rendered report."""
+    if isinstance(obj, dict):
+        for k in sorted(obj):
+            _table_rows(prefix + "." + str(k) if prefix else str(k), obj[k], lines)
+    elif isinstance(obj, list):
+        if all(not isinstance(x, (dict, list)) for x in obj):
+            lines.append("%s: %s" % (prefix, " ".join(map(str, obj))))
+        else:
+            for i, x in enumerate(obj):
+                _table_rows("%s[%d]" % (prefix, i), x, lines)
+    else:
+        lines.append("%s: %s" % (prefix, obj))
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +545,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("chambers")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--interior-only", action="store_true")
     p.add_argument("--list", action="store_true")
     p.add_argument("--locate", metavar="POINT")
     p.set_defaults(func=_cmd_chambers)
 
     p = sub.add_parser("admissible")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_admissible)
 
     p = sub.add_parser("omega")
@@ -554,13 +566,13 @@ def _build_parser():
     p.set_defaults(func=_cmd_stability)
 
     p = sub.add_parser("xi")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_int)
     p.add_argument("--point", required=True)
     p.set_defaults(func=_cmd_xi)
 
     p = sub.add_parser("strata")
     p.add_argument("--space", choices=("dm", "lm"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=_cmd_strata)
 
@@ -574,19 +586,19 @@ def _build_parser():
     p.add_argument("--method", choices=("direct", "strata"),
                    default="direct")
     p.add_argument("--coeffs", required=True)
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=_int)
     p.set_defaults(func=_cmd_invert)
 
     p = sub.add_parser("verify")
     p.add_argument("--suite",
                    choices=("all",) + tuple(_SUITES), default="all")
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int, default=5)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("census")
     p.add_argument("--space", choices=("dm", "lm"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--save", metavar="PATH")
     p.add_argument("--check", metavar="PATH")
     p.set_defaults(func=_cmd_census)

@@ -1,9 +1,17 @@
 """Exact rational linear geometry.
 
 Linear constraints and H-polytopes over Fraction coordinates, plus a small
-two-phase simplex (Bland's rule) used for feasibility with mixed strict and
-non-strict constraints, affine dimension, and relative interior points.
-All arithmetic is exact; no tolerance parameter exists anywhere in here.
+two-phase simplex for feasibility with mixed strict and non-strict
+constraints, affine dimension, and relative interior points.
+
+The simplex keeps the reduced costs as the last row of its tableau, so one
+loop (_simplex, Bland's rule) runs both phases.  It solves one LP shape, the
+gap LP _max_gap: maximize g <= 1 subject to the non-strict rows and
+c.x + g <= const for each strict row.  A system is feasible iff that optimum
+is positive; with one closed inequality as the only strict row the optimum is
+its maximum slack, which finds the implicit equalities behind
+affine_dimension and relative_interior_point.  All arithmetic is exact; no
+tolerance parameter exists anywhere in here.
 """
 
 from dataclasses import dataclass
@@ -105,11 +113,8 @@ class HPolytope:
 
 
 # ---------------------------------------------------------------------------
-# Simplex core: minimize c.y subject to A y = b, y >= 0, with b >= 0.
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+# Simplex core: one tableau whose last row holds the reduced costs, so that a
+# pivot updates the objective with every other row.
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -129,163 +134,109 @@ def _pivot(T, basis, r, c):
     basis[r] = c
 
 
-def _bland_step(T, basis, cost, ncols):
-    """One simplex iteration on tableau T with explicit cost row.
-
-    Returns "pivoted", "optimal" or "unbounded"."""
-    enter = -1
-    for j in range(ncols):
-        if cost[j] < 0:
-            enter = j
-            break
-    if enter < 0:
-        return OPTIMAL
-    leave = -1
-    best = None
-    for i, row in enumerate(T):
-        a = row[enter]
-        if a > 0:
-            ratio = row[-1] / a
-            if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                best = ratio
-                leave = i
-    if leave < 0:
-        return UNBOUNDED
-    piv = T[leave][enter]
-    prow = T[leave]
-    if piv != 1:
-        T[leave] = prow = [v / piv for v in prow]
-    for i, other in enumerate(T):
-        if i != leave and other[enter] != 0:
-            f = other[enter]
-            T[i] = [x - f * y for x, y in zip(other, prow)]
-    f = cost[enter]
-    if f != 0:
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
-    basis[leave] = enter
-    return "pivoted"
+def _simplex(T, basis, ncols):
+    """Pivot T (cost row last) to optimality by Bland's rule over columns
+    0 .. ncols-1.  Returns False when the objective is unbounded."""
+    while True:
+        enter = next((j for j in range(ncols) if T[-1][j] < 0), -1)
+        if enter < 0:
+            return True
+        leave = -1
+        best = None
+        for i in range(len(T) - 1):
+            a = T[i][enter]
+            if a > 0:
+                ratio = T[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return False
+        _pivot(T, basis, leave, enter)
 
 
 def _solve_standard(A, b, c):
-    """Two-phase simplex. Returns (status, y, value) for min c.y, Ay=b, y>=0."""
+    """Two-phase simplex for min c.y, Ay = b, y >= 0 with a bounded
+    objective.  Returns the optimal y, or None when infeasible."""
     m = len(A)
     n = len(c)
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-v for v in A[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(A[i]))
-            rhs.append(b[i])
-    # artificial columns n .. n+m-1
+    # one artificial column per row (n .. n+m-1), rows signed so that b >= 0
     T = []
-    for i in range(m):
+    for i, (row, rhs) in enumerate(zip(A, b)):
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
         art = [_ZERO] * m
         art[i] = _ONE
-        T.append(rows[i] + art + [rhs[i]])
+        T.append(row + art + [rhs])
     basis = [n + i for i in range(m)]
-    ncols = n + m
-    # phase 1 reduced costs (artificials basic with cost 1)
-    cost = [_ZERO] * (ncols + 1)
-    for j in range(ncols):
-        s = -sum(T[i][j] for i in range(m))
-        cost[j] = s + (_ONE if j >= n else _ZERO)
-    cost[-1] = -sum(rhs)
-    while True:
-        res = _bland_step(T, basis, cost, ncols)
-        if res == OPTIMAL:
-            break
-        if res == UNBOUNDED:  # cannot happen in phase 1
-            raise RuntimeError("phase 1 unbounded")
-    if -cost[-1] != 0:
-        return INFEASIBLE, None, None
+    # phase 1 reduced costs: minimize the sum of the artificials
+    T.append([-sum(T[i][j] for i in range(m)) for j in range(n)]
+             + [_ZERO] * m + [-sum(T[i][-1] for i in range(m))])
+    if not _simplex(T, basis, n + m):
+        raise RuntimeError("phase 1 unbounded")
+    if T[-1][-1] != 0:
+        return None
     # drive artificials out of the basis; drop redundant rows
-    drop = []
+    keep = []
     for i in range(m):
         if basis[i] >= n:
             col = next((j for j in range(n) if T[i][j] != 0), -1)
             if col < 0:
-                drop.append(i)
-            else:
-                _pivot(T, basis, i, col)
-    if drop:
-        T = [row for i, row in enumerate(T) if i not in drop]
-        basis = [bv for i, bv in enumerate(basis) if i not in drop]
-    # strip artificial columns
-    T = [row[:n] + [row[-1]] for row in T]
+                continue
+            _pivot(T, basis, i, col)
+        keep.append(i)
+    T = [T[i][:n] + [T[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
     # phase 2 reduced costs
-    cost = [_ZERO] * (n + 1)
-    for j in range(n):
-        cost[j] = c[j] - sum(c[basis[i]] * T[i][j] for i in range(len(T)))
-    cost[-1] = -sum(c[basis[i]] * T[i][-1] for i in range(len(T)))
-    while True:
-        res = _bland_step(T, basis, cost, n)
-        if res == OPTIMAL:
-            break
-        if res == UNBOUNDED:
-            return UNBOUNDED, None, None
+    T.append([c[j] - sum(c[bj] * row[j] for bj, row in zip(basis, T)) for j in range(n)]
+             + [-sum(c[bj] * row[-1] for bj, row in zip(basis, T))])
+    if not _simplex(T, basis, n):
+        raise RuntimeError("phase 2 unbounded")
     y = [_ZERO] * n
     for i, bj in enumerate(basis):
         y[bj] = T[i][-1]
-    return OPTIMAL, y, -cost[-1]
+    return y
 
 
-def _maximize(objective, rows, n):
-    """Maximize objective . x over free x in R^n subject to rows.
+def _max_gap(loose, strict, n):
+    """Maximize g <= 1 over free x in R^n subject to the loose (eq, le) rows
+    and c.x + g <= const for each strict row c.
 
-    rows: list of (coeffs, rel, const) with rel in {eq, le}.
-    Returns (status, x, value).
+    Returns (g, x), or (None, None) when the loose rows alone are infeasible;
+    g is free, so the strict rows never are.  A strict system is feasible iff
+    g > 0, and a system with no strict row reaches g = 1 when feasible.
     """
-    # x_j = u_j - v_j with u, v >= 0; one slack per inequality
-    nslack = sum(1 for _, rel, _ in rows if rel == LE)
-    N = 2 * n + nslack
+    rows = [(c.coeffs, c.rel, c.const, _ZERO) for c in loose]
+    rows += [(c.coeffs, LE, c.const, _ONE) for c in strict]
+    rows.append(((_ZERO,) * n, LE, _ONE, _ONE))
+    # standard form: x_j = y_2j - y_2j+1, g = y_2n - y_2n+1, one slack per le row
+    N = 2 * (n + 1) + sum(1 for row in rows if row[1] == LE)
     A = []
-    b = []
-    si = 0
-    for coeffs, rel, const in rows:
+    si = 2 * (n + 1)
+    for coeffs, rel, const, gap in rows:
         row = [_ZERO] * N
-        for j, a in enumerate(coeffs):
+        for j, a in enumerate(coeffs + (gap,)):
             if a != 0:
-                row[2 * j] = Fraction(a)
-                row[2 * j + 1] = -Fraction(a)
+                row[2 * j] = a
+                row[2 * j + 1] = -a
         if rel == LE:
-            row[2 * n + si] = _ONE
+            row[si] = _ONE
             si += 1
         A.append(row)
-        b.append(Fraction(const))
     c = [_ZERO] * N
-    for j, a in enumerate(objective):
-        if a != 0:
-            c[2 * j] = -Fraction(a)
-            c[2 * j + 1] = Fraction(a)
-    status, y, value = _solve_standard(A, b, c)
-    if status != OPTIMAL:
-        return status, None, None
-    x = [y[2 * j] - y[2 * j + 1] for j in range(n)]
-    return OPTIMAL, x, -value
-
-
-def _split(constraints):
-    loose = []
-    strict = []
-    for c in constraints:
-        if c.rel == LT:
-            strict.append(c)
-        else:
-            loose.append(c)
-    return loose, strict
+    c[2 * n] = -_ONE
+    c[2 * n + 1] = _ONE
+    y = _solve_standard(A, [row[2] for row in rows], c)
+    if y is None:
+        return None, None
+    return y[2 * n] - y[2 * n + 1], [y[2 * j] - y[2 * j + 1] for j in range(n)]
 
 
 def lp_feasible(constraints):
     """Exact feasibility for a mixed strict/non-strict rational system.
 
-    Returns a witness point (list of Fractions) or None when infeasible.
-    Strict inequalities are certified through a shared slack variable g in
-    (0, 1]: the system a.x < c is feasible iff max g subject to a.x + g <= c
-    is positive.
+    Returns a witness point (list of Fractions) or None when infeasible: the
+    system is feasible iff its gap LP (_max_gap) has a positive optimum.
     """
     constraints = list(constraints)
     if not constraints:
@@ -294,21 +245,9 @@ def lp_feasible(constraints):
     for c in constraints:
         if len(c.coeffs) != n:
             raise ValueError("mixed constraint arities")
-    loose, strict = _split(constraints)
-    if not strict:
-        rows = [(c.coeffs, c.rel, c.const) for c in loose]
-        status, x, _ = _maximize([_ZERO] * n, rows, n)
-        return x if status == OPTIMAL else None
-    # gap variable is coordinate n
-    rows = [(tuple(c.coeffs) + (_ZERO,), c.rel, c.const) for c in loose]
-    for c in strict:
-        rows.append((tuple(c.coeffs) + (_ONE,), LE, c.const))
-    gapcol = [_ZERO] * n + [_ONE]
-    rows.append((tuple(gapcol), LE, _ONE))
-    status, x, value = _maximize(gapcol, rows, n + 1)
-    if status != OPTIMAL or value <= 0:
-        return None
-    return x[:n]
+    value, x = _max_gap([c for c in constraints if c.rel != LT],
+                        [c for c in constraints if c.rel == LT], n)
+    return x if value is not None and value > 0 else None
 
 
 def _rank(vectors):
@@ -333,17 +272,26 @@ def _rank(vectors):
     return rank
 
 
-def _max_slack(target, others, n):
-    """Maximize min(slack of target, 1) over the closed system others."""
-    rows = [(tuple(c.coeffs) + (_ZERO,), EQ if c.rel == EQ else LE, c.const) for c in others]
-    # t <= const - coeffs.x  and t <= 1
-    rows.append((tuple(target.coeffs) + (_ONE,), LE, target.const))
-    tcol = [_ZERO] * n + [_ONE]
-    rows.append((tuple(tcol), LE, _ONE))
-    status, x, value = _maximize(tcol, rows, n + 1)
-    if status != OPTIMAL:
-        return None, None
-    return value, x[:n]
+def _slack_pass(p):
+    """The implicit-equality pass: for the normalized constraints of p,
+    (base, slacks) with base a point of the closed system and slacks one
+    (constraint, maximum slack capped at 1, witness) per constraint, an
+    equality counting as slack 0 with no witness.  None when p is empty:
+    its closure is, or some strict constraint cannot be slack.
+    """
+    cons = [c.normalized() for c in p.constraints]
+    closed = [LinConstraint(c.coeffs, EQ if c.rel == EQ else LE, c.const) for c in cons]
+    n = p.ambient_dim
+    value, base = _max_gap(closed, [], n)
+    if value is None:
+        return None
+    slacks = []
+    for c, target in zip(cons, closed):
+        value, witness = (_ZERO, None) if c.rel == EQ else _max_gap(closed, [target], n)
+        if value == 0 and c.rel == LT:
+            return None
+        slacks.append((c, value, witness))
+    return base, slacks
 
 
 def affine_dimension(p: HPolytope) -> int:
@@ -352,21 +300,10 @@ def affine_dimension(p: HPolytope) -> int:
     The affine hull of a feasible system is cut out by its stated equalities
     together with the implicit ones (inequalities that cannot be slack).
     """
-    cons = [c.normalized() for c in p.constraints]
-    if lp_feasible(cons) is None:
+    found = _slack_pass(p)
+    if found is None:
         return -1
-    closed = [LinConstraint(c.coeffs, EQ if c.rel == EQ else LE, c.const) for c in cons]
-    eq_rows = [c.coeffs for c in closed if c.rel == EQ]
-    n = p.ambient_dim
-    for i, c in enumerate(closed):
-        if c.rel != LE:
-            continue
-        value, _ = _max_slack(c, closed, n)
-        if value == 0:
-            eq_rows.append(c.coeffs)
-    if not eq_rows:
-        return n
-    return n - _rank(eq_rows)
+    return p.ambient_dim - _rank([c.coeffs for c, value, _ in found[1] if value == 0])
 
 
 def relative_interior_point(p: HPolytope):
@@ -377,22 +314,10 @@ def relative_interior_point(p: HPolytope):
     constraints are strictly satisfied. Built by averaging one feasibility
     witness with per-inequality maximum-slack witnesses.
     """
-    cons = [c.normalized() for c in p.constraints]
-    n = p.ambient_dim
-    closed = [LinConstraint(c.coeffs, EQ if c.rel == EQ else LE, c.const) for c in cons]
-    base = lp_feasible(closed)
-    if base is None:
+    found = _slack_pass(p)
+    if found is None:
         return None
-    points = [base]
-    for i, c in enumerate(cons):
-        if c.rel == EQ:
-            continue
-        target = closed[i]
-        value, witness = _max_slack(target, closed, n)
-        if value == 0:
-            if c.rel == LT:
-                return None  # a strict constraint forced tight: empty strict set
-            continue  # implicit equality: stays tight everywhere
-        points.append(witness)
+    base, slacks = found
+    points = [base] + [witness for _, value, witness in slacks if value != 0]
     k = Fraction(len(points))
-    return [sum(pt[j] for pt in points) / k for j in range(n)]
+    return [sum(pt[j] for pt in points) / k for j in range(p.ambient_dim)]

@@ -296,15 +296,19 @@ def _families(masks, compatible, visit):
     after = [sum(1 << j for j in range(i + 1, len(masks))
                  if compatible(a, masks[j]))
              for i, a in enumerate(masks)]
+    _extend_family(masks, after, visit, [], (1 << len(masks)) - 1)
 
-    def recurse(chosen, allowed):
-        visit(chosen)
-        for j in _bit_indices(allowed):
-            chosen.append(masks[j])
-            recurse(chosen, allowed & after[j])
-            chosen.pop()
 
-    recurse([], (1 << len(masks)) - 1)
+def _extend_family(masks, after, visit, chosen, allowed):
+    """One node of the search in _families: visit chosen, then extend it by
+    each mask in the bitmask allowed.  A module-level function, not a
+    closure that calls itself, so that no reference cycle is left per call.
+    """
+    visit(chosen)
+    for j in _bit_indices(allowed):
+        chosen.append(masks[j])
+        _extend_family(masks, after, visit, chosen, allowed & after[j])
+        chosen.pop()
 
 
 def _bit_indices(mask):

@@ -5,9 +5,12 @@ import re
 from fractions import Fraction
 from math import lcm
 
-# p or p/q, each an optional sign and ASCII digits: int() alone would also
-# take "_" separators, inner whitespace and non-ASCII digits.
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
+# An integer is an optional sign and ASCII digits, and a rational p or p/q:
+# int() alone would also take "_" separators, inner whitespace and non-ASCII
+# digits.
+_INT = r"[+-]?[0-9]+"
+_RATIONAL = re.compile(r"(%s)(?:/(%s))?" % (_INT, _INT))
+_INTEGER = re.compile(_INT)
 
 
 def format_rational(x) -> str:
@@ -29,6 +32,14 @@ def scaled(vec):
     vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     d = lcm(*(x.denominator for x in vec))
     return d, tuple(x.numerator * (d // x.denominator) for x in vec)
+
+
+def parse_int(s: str) -> int:
+    """Parse an optional sign and ASCII digits, surrounding whitespace
+    allowed, into an int; other input raises int()'s ValueError."""
+    if _INTEGER.fullmatch(s.strip()) is None:
+        raise ValueError("invalid literal for int() with base 10: %r" % s)
+    return int(s)
 
 
 def parse_rational(s: str) -> Fraction:

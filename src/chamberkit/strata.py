@@ -537,18 +537,15 @@ def classify_outgrowth(s):
 
 def lm_point_label_census_n5():
     """Independent point count for n = 5: walk all fully degenerate labels
-    on the three pair coordinates and keep those satisfying the defining
-    bidegree relation, with representatives (0:1), (1:0), (1:1)."""
-    rep = {ZERO: (0, 1), INF: (1, 0), ONE: (1, 1)}
+    on the three pair coordinates and keep those that label_is_consistent
+    accepts (lambda34 * lambda45 = lambda35)."""
     counts = {"total": 0, "extension": 0, "toric": 0, "toric_fixed": 0}
-    for v34, v35, v45 in product((ZERO, INF, ONE), repeat=3):
-        c34, d34 = rep[v34]
-        c35, d35 = rep[v35]
-        c45, d45 = rep[v45]
-        if c34 * d35 * c45 != d34 * c35 * d45:
+    for vals in product((ZERO, INF, ONE), repeat=3):
+        label = DegenerationLabel(5, tuple(zip(((3, 4), (3, 5), (4, 5)), vals)))
+        if not label_is_consistent(label):
             continue
         counts["total"] += 1
-        kinds = {v34, v35, v45}
+        kinds = set(vals)
         if kinds == {ONE}:
             counts["extension"] += 1
         else:

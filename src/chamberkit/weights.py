@@ -20,7 +20,7 @@ from itertools import combinations
 from .cache import cached
 from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
                            generic_point, weight_walls)
-from .ratutil import scaled
+from .ratutil import parse_int, scaled
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -120,7 +120,7 @@ def parse_partition(text):
         if not (part.startswith("{") and part.endswith("}")):
             raise ValueError("malformed partition block: %r" % part)
         items = part[1:-1].split(",")
-        blocks.append(tuple(int(i) for i in items))
+        blocks.append(tuple(parse_int(i) for i in items))
     return CoincidencePartition(blocks)
 
 

@@ -20,12 +20,16 @@ box, the carrier sum and the polytope's walls one Fraction sum at a time,
 and semistable_profile_fractions keeps Fraction block sums.
 comp_inverse_horner re-composes the partial inverse with f by Horner's
 rule for every order.
+
+fourier_motzkin_feasible decides a mixed strict and non-strict linear
+system by eliminating one variable at a time, with no LP.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, lcm
 
+from chamberkit.exactgeom import EQ, LT
 from chamberkit.hypersimplex import (_rank, build_arrangement, canonical_subset,
                                      generic_point, weight_walls)
 from chamberkit.series import ExpSeries
@@ -360,3 +364,32 @@ def semistable_profile_fractions(lin):
 
     rec(0, [], [])
     return tuple(sorted(out, key=lambda p: p.blocks))
+
+
+def _fm_row(coeffs, const, strict):
+    """The row coeffs . x (< if strict else <=) const, divided by the size
+    of its first nonzero coefficient so that equal rows compare equal."""
+    lead = next((abs(a) for a in coeffs if a != 0), 1)
+    return tuple(Fraction(a) / lead for a in coeffs), Fraction(const) / lead, strict
+
+
+def fourier_motzkin_feasible(constraints):
+    """Whether a mixed strict/non-strict system has a point, by
+    Fourier-Motzkin elimination.  An equality becomes two inequalities.
+    Eliminating x_k pairs every row with a positive x_k coefficient with
+    every row with a negative one (the sum is strict when either row is);
+    the system is feasible iff every row left, 0 (< or <=) const, holds."""
+    rows = set()
+    for c in constraints:
+        rows.add(_fm_row(c.coeffs, c.const, c.rel == LT))
+        if c.rel == EQ:
+            rows.add(_fm_row([-a for a in c.coeffs], -c.const, False))
+    for k in range(len(constraints[0].coeffs) if constraints else 0):
+        pos = [r for r in rows if r[0][k] > 0]
+        neg = [r for r in rows if r[0][k] < 0]
+        rows = {r for r in rows if r[0][k] == 0}
+        for (pa, pb, ps), (na, nb, ns) in product(pos, neg):
+            f, g = -na[k], pa[k]
+            rows.add(_fm_row([f * x + g * y for x, y in zip(pa, na)],
+                             f * pb + g * nb, ps or ns))
+    return all(b > 0 if strict else b >= 0 for _, b, strict in rows)

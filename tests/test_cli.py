@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from chamberkit import cache
 from chamberkit.cli import _build_parser, main, run
 from chamberkit.hypersimplex import enumerate_admissible
-from chamberkit.ratutil import parse_vector
+from chamberkit.ratutil import parse_int, parse_vector
 from chamberkit.strata import dm_strata, permutohedron_faces
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -593,6 +593,44 @@ def test_parse_vector_reads_only_sign_and_ascii_digits(capsys):
     assert _one_error(capsys) == (
         "bad rational vector '1_0/20,1/2,1/2,1/2': "
         "rationals must be given exactly as p/q, got '1_0/20'")
+
+
+def test_integer_inputs_read_only_sign_and_ascii_digits(capsys):
+    # int() alone would read "\u0665" as 5 and "1_0" as 10
+    for text in ("1_0", "\u0665", "1 0", "0x10", "", "+"):
+        with pytest.raises(ValueError):
+            parse_int(text)
+    assert parse_int(" -7 ") == -7 and parse_int("+12") == 12
+    assert main(["chambers", "--n", "\u0665"]) == 1
+    assert _one_error(capsys) == "argument --n: invalid int value: '\u0665'"
+    assert main(["verify", "--suite", "series", "--seed", "1_0"]) == 1
+    assert _one_error(capsys) == "argument --seed: invalid int value: '1_0'"
+    assert main(["stability", "--weights", "1/2,1/2,1/2,1/2",
+                 "--partition", "{\u0661,2}|{3}|{4}"]) == 1
+    assert _one_error(capsys) == (
+        "invalid literal for int() with base 10: '\u0661'")
+    # inputs int() rejected keep their message; whitespace stays allowed
+    assert main(["invert", "--mode", "mult", "--coeffs", "1,1",
+                 "--order", "x"]) == 1
+    assert _one_error(capsys) == "argument --order: invalid int value: 'x'"
+    report, code = run_json(["stability", "--weights", "1/2,1/2,1/2,1/2",
+                             "--partition", "{ 1 ,2}|{3}|{4}"])
+    assert code == 0 and report["results"]["partition"] == "{1,2}|{3}|{4}"
+    report, code = run_json(["chambers", "--n", " 4 "])
+    assert code == 0 and report["inputs"]["n"] == 4
+
+
+def test_table_report_leaves_no_reference_cycle():
+    argv = ["--format", "table", "stability", "--weights", "1/2,1/2,1/2,1/2",
+            "--partition", "{1,2}|{3}|{4}", "--profile"]
+    text, code = run(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == (text, code)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_census_check_rejects_non_object(tmp_path, capsys):

@@ -7,6 +7,8 @@ from chamberkit.exactgeom import (EQ, LE, LT, HPolytope, LinConstraint,
                                   affine_dimension, eq, ge, gt, le, lt,
                                   lp_feasible, relative_interior_point)
 
+from cell_oracles import fourier_motzkin_feasible
+
 
 def square():
     return HPolytope(2, (le([1, 0], 1), le([0, 1], 1), ge([1, 0], 0), ge([0, 1], 0)))
@@ -114,20 +116,36 @@ def test_constraint_arity_checked():
 small = st.integers(min_value=-4, max_value=4)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(2, 3).flatmap(
+# systems of 1 to 6 rows in 2 or 3 variables, every relation allowed
+systems = st.integers(2, 3).flatmap(
     lambda n: st.lists(
         st.tuples(st.lists(small, min_size=n, max_size=n),
                   st.sampled_from(["le", "ge", "lt", "gt", "eq"]),
                   small),
-        min_size=1, max_size=6)))
+        min_size=1, max_size=6))
+builders = {"le": le, "ge": ge, "lt": lt, "gt": gt, "eq": eq}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(systems)
 def test_lp_witness_satisfies_all(rows):
-    builders = {"le": le, "ge": ge, "lt": lt, "gt": gt, "eq": eq}
     cons = [builders[r](c, k) for c, r, k in rows]
     w = lp_feasible(cons)
     if w is not None:
         for c in cons:
             assert c.holds(w)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(systems)
+def test_lp_verdict_matches_fourier_motzkin(rows):
+    # the infeasible verdicts too, which no witness can check; shrunk toward
+    # the origin, the same system keeps its verdict with gaps well below 1
+    cons = [builders[r](c, k) for c, r, k in rows]
+    verdict = fourier_motzkin_feasible(cons)
+    assert (lp_feasible(cons) is not None) == verdict
+    shrunk = [LinConstraint(c.coeffs, c.rel, c.const / 16) for c in cons]
+    assert (lp_feasible(shrunk) is not None) == verdict
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
