@@ -50,6 +50,13 @@ def _parse_vec(text):
         raise _CliError("bad rational vector %r: %s" % (text, exc))
 
 
+def _parse_partition(text):
+    try:
+        return wt.parse_partition(text)
+    except ValueError as exc:
+        raise _CliError("bad partition %r: %s" % (text, exc))
+
+
 def _locate(cc, point):
     try:
         return cc.locate(point)
@@ -178,7 +185,7 @@ def _cmd_stability(args):
     results = {"n": lin.n, "weights": _fmt_vec(lin.entries)}
     certs = []
     if args.partition:
-        part = wt.parse_partition(args.partition)
+        part = _parse_partition(args.partition)
         status, block, total = wt.stability_report(lin, part)
         results["partition"] = str(part)
         results["status"] = status
@@ -495,7 +502,10 @@ def save_census(path, space, n):
 
 def load_census(path):
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise _CliError("census file %r is not JSON: %s" % (path, exc))
     if not isinstance(payload, dict):
         raise _CliError("census file must hold a JSON object")
     version = payload.get("schema_version")

@@ -609,6 +609,12 @@ class ChamberComplex:
         signs = self.arrangement.signs_at(point)
         ch = self._by_signs.get(signs)
         if ch is None:
+            box = [h.label for h, sign in zip(self.arrangement.hyperplanes, signs)
+                   if h.kind != "sum" and sign == "0"]
+            if self.interior_only and box:
+                raise LookupError("point lies on the boundary of D(%d) (%s), "
+                                  "which the interior-only complex leaves out"
+                                  % (self.n, ", ".join(box)))
             raise LookupError("no enumerated cell matches the point's sign vector")
         return ch
 

@@ -77,7 +77,10 @@ class StableTree:
 
     Each split is the sorted tuple of legs on the side not containing leg 1;
     the family is laminar (pairwise nested or disjoint) and each side of a
-    split carries at least two legs.
+    split carries at least two legs.  Each split is the edge above one
+    vertex, which holds the split's legs that no smaller split holds; the
+    root holds the rest, leg 1 among them.  A vertex's valence is its legs
+    plus its edges.
     """
 
     n: int
@@ -92,50 +95,33 @@ class StableTree:
     def codim(self):
         return len(self.splits)
 
-    def _parents(self):
-        # parent index for each split, -1 for maximal ones
+    def _walk(self):
+        """Each vertex's legs and edge count: the vertex below split i at
+        index i, the root (leg 1 side) last, at index -1.  The splits are
+        sorted by size, so a split's parent is its first strict superset:
+        walked largest first, the family being laminar, the last split seen
+        holding the split's first leg."""
         fam = self.splits
-        order = sorted(range(len(fam)), key=lambda i: len(fam[i]))
-        parent = [-1] * len(fam)
-        for pos, i in enumerate(order):
-            si = set(fam[i])
-            for j in order[pos + 1:]:
-                if len(fam[j]) > len(fam[i]) and si <= set(fam[j]):
-                    parent[i] = j
-                    break
-        return parent
+        holder = [-1] * (self.n + 1)
+        edges = [1] * len(fam) + [0]
+        for i in range(len(fam) - 1, -1, -1):
+            edges[holder[fam[i][0]]] += 1
+            for x in fam[i]:
+                holder[x] = i
+        legs = [[] for _ in edges]
+        for x in range(1, self.n + 1):
+            legs[holder[x]].append(x)
+        return legs, edges
 
     def vertices(self):
         """Per-vertex leg tuples, root (leg 1 side) last."""
-        fam = self.splits
-        parent = self._parents()
-        legs = [set(s) for s in fam]
-        root = set(range(1, self.n + 1))
-        for i, p in enumerate(parent):
-            if p >= 0:
-                legs[p] -= set(fam[i])
-            else:
-                root -= set(fam[i])
-        return tuple(tuple(sorted(s)) for s in legs) + (tuple(sorted(root)),)
+        return tuple(map(tuple, self._walk()[0]))
 
     def valences(self):
-        fam = self.splits
-        parent = self._parents()
-        child_count = [0] * len(fam)
-        child_size = [0] * len(fam)
-        root_count = 0
-        root_size = 0
-        for i, p in enumerate(parent):
-            if p >= 0:
-                child_count[p] += 1
-                child_size[p] += len(fam[i])
-            else:
-                root_count += 1
-                root_size += len(fam[i])
-        vals = [len(fam[i]) - child_size[i] + child_count[i] + 1
-                for i in range(len(fam))]
-        vals.append(self.n - root_size + root_count)
-        return tuple(sorted(vals, reverse=True))
+        """Per-vertex valences, legs plus edges, largest first."""
+        legs, edges = self._walk()
+        return tuple(sorted((len(v) + e for v, e in zip(legs, edges)),
+                            reverse=True))
 
     def type_string(self):
         return _type_string(self.valences())
@@ -594,17 +580,12 @@ def permutohedron_faces(m):
 
 @dataclass(frozen=True)
 class IntersectionLocus:
-    """A closed intersection of building generators: disjoint cliques of
-    coincident pairs, each clique recorded by its vertex set."""
+    """A closed intersection of building generators: the light points in
+    each of its disjoint cliques coincide, each clique recorded by its
+    sorted points."""
 
     n: int
     components: tuple
-
-    def pair_set(self):
-        out = set()
-        for comp in self.components:
-            out.update(combinations(comp, 2))
-        return frozenset(out)
 
     def support_type(self):
         free = (self.n - 2) - sum(len(c) for c in self.components) \
@@ -615,32 +596,10 @@ class IntersectionLocus:
         return self.support_type() == "F3"
 
     def leq(self, other):
-        """Containment of loci: finer forcing means a smaller locus."""
-        return self.pair_set() >= other.pair_set()
-
-
-def _closure_components(n, pairs):
-    # connected components become cliques under the one-relation rule
-    adj = {x: set() for x in range(3, n + 1)}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = set()
-    comps = []
-    for x in range(3, n + 1):
-        if x in seen or not adj[x]:
-            continue
-        stack = [x]
-        comp = set()
-        while stack:
-            y = stack.pop()
-            if y in comp:
-                continue
-            comp.add(y)
-            stack.extend(adj[y] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+        """Containment of loci: finer forcing means a smaller locus, so
+        each clique of other lies inside a clique of self."""
+        return all(any(set(c) <= set(d) for d in self.components)
+                   for c in other.components)
 
 
 @dataclass(frozen=True)
@@ -650,10 +609,18 @@ class BuildingLattice:
     elements: tuple
 
     def closure(self, gens):
-        pairs = set()
+        """The intersection of the generators' loci: points forced together
+        by one generator coincide, so generators that share a point merge
+        into one clique."""
+        cliques = []
         for g in gens:
-            pairs.update(combinations(sorted(g), 2))
-        return IntersectionLocus(self.n, _closure_components(self.n, pairs))
+            merged = set(g)
+            for c in [c for c in cliques if c & merged]:
+                merged |= c
+                cliques.remove(c)
+            cliques.append(merged)
+        return IntersectionLocus(self.n, tuple(sorted(
+            tuple(sorted(c)) for c in cliques if len(c) > 1)))
 
 
 @cached

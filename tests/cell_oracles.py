@@ -23,6 +23,10 @@ rule for every order.
 
 fourier_motzkin_feasible decides a mixed strict and non-strict linear
 system by eliminating one variable at a time, with no LP.
+
+pair_graph_closure closes building generators through the graph of the
+point pairs they force together, one depth-first search per component, and
+pair_set_leq compares two loci by the sets of pairs they force.
 """
 
 from fractions import Fraction
@@ -393,3 +397,40 @@ def fourier_motzkin_feasible(constraints):
             rows.add(_fm_row([f * x + g * y for x, y in zip(pa, na)],
                              f * pb + g * nb, ps or ns))
     return all(b > 0 if strict else b >= 0 for _, b, strict in rows)
+
+
+def pair_graph_closure(n, gens):
+    """The components of a building-set closure: the pairs inside each
+    generator are the edges of a graph on the light points 3..n, and each
+    connected component with an edge becomes one clique."""
+    adj = {x: set() for x in range(3, n + 1)}
+    for g in gens:
+        for a, b in combinations(sorted(g), 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    seen = set()
+    comps = []
+    for x in range(3, n + 1):
+        if x in seen or not adj[x]:
+            continue
+        stack = [x]
+        comp = set()
+        while stack:
+            y = stack.pop()
+            if y in comp:
+                continue
+            comp.add(y)
+            stack.extend(adj[y] - comp)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
+def _pair_set(locus):
+    return {pair for comp in locus.components
+            for pair in combinations(comp, 2)}
+
+
+def pair_set_leq(a, b):
+    """a <= b as loci: a forces together every pair that b does."""
+    return _pair_set(a) >= _pair_set(b)

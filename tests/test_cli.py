@@ -608,6 +608,7 @@ def test_integer_inputs_read_only_sign_and_ascii_digits(capsys):
     assert main(["stability", "--weights", "1/2,1/2,1/2,1/2",
                  "--partition", "{\u0661,2}|{3}|{4}"]) == 1
     assert _one_error(capsys) == (
+        "bad partition '{\u0661,2}|{3}|{4}': "
         "invalid literal for int() with base 10: '\u0661'")
     # inputs int() rejected keep their message; whitespace stays allowed
     assert main(["invert", "--mode", "mult", "--coeffs", "1,1",
@@ -618,6 +619,38 @@ def test_integer_inputs_read_only_sign_and_ascii_digits(capsys):
     assert code == 0 and report["results"]["partition"] == "{1,2}|{3}|{4}"
     report, code = run_json(["chambers", "--n", " 4 "])
     assert code == 0 and report["inputs"]["n"] == 4
+
+
+def test_input_errors_name_their_input(tmp_path, capsys):
+    argv = ["stability", "--weights", "1/2,1/2,1/2,1/2", "--partition"]
+    for text, reason in (
+            ("{a,2}|{3}|{4}", "invalid literal for int() with base 10: 'a'"),
+            ("1,2|{3}|{4}", "malformed partition block: '1,2'"),
+            ("{1,2}|{2,3}|{4}", "blocks must disjointly cover 1..n")):
+        assert main(argv + [text]) == 1
+        assert _one_error(capsys) == "bad partition %r: %s" % (text, reason)
+    path = tmp_path / "census.txt"
+    path.write_text("not json\n")
+    assert main(["census", "--space", "dm", "--n", "5", "--check",
+                 str(path)]) == 1
+    assert _one_error(capsys) == (
+        "census file %r is not JSON: Expecting value: line 1 column 1 "
+        "(char 0)" % str(path))
+
+
+def test_interior_only_locate_names_the_boundary(capsys):
+    argv = ["chambers", "--n", "5", "--interior-only", "--locate"]
+    assert main(argv + ["1,1,0,0,0"]) == 1
+    assert _one_error(capsys) == (
+        "point lies on the boundary of D(5) (x3=0, x4=0, x5=0, x1=1, x2=1), "
+        "which the interior-only complex leaves out")
+    assert main(argv + ["1/2,1/2,1/2,1/2,0"]) == 1
+    assert _one_error(capsys) == (
+        "point lies on the boundary of D(5) (x5=0), "
+        "which the interior-only complex leaves out")
+    # the full complex holds the boundary point, as a 0-cell
+    report, code = run_json(["chambers", "--n", "5", "--locate", "1,1,0,0,0"])
+    assert code == 0 and report["results"]["located"]["dim"] == 0
 
 
 def test_table_report_leaves_no_reference_cycle():

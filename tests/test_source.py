@@ -3,13 +3,40 @@
 Invariants are explicit checks that raise, never assert, which python -O
 strips.  No nested function calls itself: the closure would refer to its own
 cell, so every call would leave a reference cycle for the collector;
-recursions are module-level functions instead.
+recursions are module-level functions instead.  The README's table of
+enumeration guards quotes each cap as the constant in the code.
 """
 
 import ast
 import os
+import re
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "chamberkit")
+from chamberkit import hypersimplex as hs
+from chamberkit import series as se
+from chamberkit import strata as st
+from chamberkit import weights as wt
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "chamberkit")
+
+# each row of the README's "Enumeration guards" table, with the constants
+# its caps quote, in the order the row gives them
+GUARDS = {
+    "chamber complex `n`": (hs.MAX_CHAMBER_N,),
+    "admissible polytopes / omega `n`": (hs.MAX_N, hs.MAX_CHAMBER_N),
+    "weight-domain fine chambers `n`": (wt.MAX_FINE_N,),
+    "`xi` / facet covers, walls through the cell": (wt.MAX_XI_PAIRS,),
+    "semistable profile `n`": (wt.MAX_PROFILE_N,),
+    "reduction divisors / stability classification `n`":
+        (st.MAX_DIVISOR_N, wt.MAX_CLASSIFY_N),
+    "listed nodal trees and chain strata `n` (`strata --list`)":
+        (st.MAX_TREE_N,),
+    "counted nodal and chain censuses `n` (`strata`, `census`)":
+        (st.MAX_CENSUS_N,),
+    "permutohedron faces `m`": (st.MAX_PERM_M,),
+    "series order (direct / permutohedral / strata)":
+        (se.MAX_ORDER, se.MAX_PERM_ORDER, se.MAX_ORDER),
+}
 
 
 def _modules():
@@ -56,3 +83,23 @@ def test_no_assert_and_no_self_calling_closure():
     closures = [(name,) + hit for name, tree in modules
                 for hit in self_calling_closures(tree)]
     assert closures == []
+
+
+def readme_guards():
+    """{quantity: caps} from the README's "Enumeration guards" table, the
+    caps being the slash-separated integers that open the cap column."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## Enumeration guards", 1)[1].split("\n## ", 1)[0]
+    out = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if not line.startswith("|") or cells[0] in ("quantity", "---"):
+            continue
+        caps = re.match(r"\d+(?: / \d+)*", cells[1])
+        out[cells[0]] = tuple(int(c) for c in caps.group().split(" / "))
+    return out
+
+
+def test_readme_guard_table_matches_the_caps():
+    assert readme_guards() == GUARDS

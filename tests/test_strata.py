@@ -20,7 +20,8 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
                                _ordered_partitions, _screen)
 
 from cell_oracles import (chi_term, composition_faces, fubini,
-                          lm_chain_tally, stirling2)
+                          lm_chain_tally, pair_graph_closure, pair_set_leq,
+                          stirling2)
 
 
 def test_dm_counts():
@@ -137,6 +138,16 @@ def test_tree_structure():
     assert verts == ((2, 3), (4,), (1, 5))
     open_t = StableTree(5, ())
     assert open_t.valences() == (5,) and open_t.vertices() == ((1, 2, 3, 4, 5),)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_tree_vertices_partition_the_legs(n):
+    for t in dm_strata(n).trees:
+        verts = t.vertices()
+        assert sorted(x for v in verts for x in v) == list(range(1, n + 1))
+        assert 1 in verts[-1] and len(verts) == t.codim + 1
+        vals = t.valences()
+        assert min(vals) >= 3 and sum(vals) == n + 2 * t.codim
 
 
 def test_tree_relabel_equivariance():
@@ -406,6 +417,18 @@ def test_building_set_intersections():
     # the deepest element sits below everything
     point = next(e for e in bl7.elements if e.is_point())
     assert all(point.leq(e) for e in bl7.elements)
+
+
+@pytest.mark.parametrize("n, relations", [(5, 1), (6, 9), (7, 51), (8, 273)])
+def test_building_set_matches_pair_graph_oracle(n, relations):
+    bl = wonderful_building_set(n)
+    for k in (1, 2, 3):
+        for gens in combinations(bl.generators, k):
+            assert bl.closure(gens).components == pair_graph_closure(n, gens)
+    leq = [(a, b) for a in bl.elements for b in bl.elements if a.leq(b)]
+    assert leq == [(a, b) for a in bl.elements for b in bl.elements
+                   if pair_set_leq(a, b)]
+    assert len(leq) == relations
 
 
 def test_building_set_guards():
