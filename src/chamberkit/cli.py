@@ -86,10 +86,71 @@ def _report(command, inputs, results, certificates, notes):
 
 def _render(report, fmt):
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return _json_text(report, "") + "\n"
     lines = []
     _table_rows("", report, lines)
     return "\n".join(lines) + "\n"
+
+
+# The JSON report is the text of json.dumps(report, sort_keys=True,
+# indent=2), byte for byte.  With an indent, json leaves its C encoder for a
+# pure-Python one (some 15 ms for a chamber listing, and a reference cycle
+# per call), so the layout is written here and the leaves are escaped by
+# json's C functions.
+_json_quote = json.encoder.encode_basestring_ascii
+# floats, subclasses of the scalar types and anything json cannot encode
+# (its TypeError) go to json's own C encoder
+_json_other = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, _json_quote, None, ": ", ", ",
+    True, False, True)
+_JSON_SCALARS = {
+    str: _json_quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_STR_ONLY = {str}
+
+
+def _json_key(key):
+    """A dict key as json writes it: str keys quoted, the scalar keys json
+    accepts written as JSON and then quoted."""
+    if isinstance(key, str):
+        return _json_quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _json_quote(_json_text(key, ""))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % key.__class__.__name__)
+
+
+def _json_text(obj, indent):
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, its
+    closing bracket at indent.  A module-level recursion, so that no
+    reference cycle is left behind per rendered report."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == _STR_ONLY:
+            items = map(_json_quote, obj)
+        else:
+            items = [_json_text(x, inner) for x in obj]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            scalar = _JSON_SCALARS.get(type(value))
+            items.append("%s: %s" % (
+                _json_key(key),
+                scalar(value) if scalar is not None
+                else _json_text(value, inner)))
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    return "".join(_json_other(obj, 0))
 
 
 def _table_rows(prefix, obj, lines):
@@ -124,6 +185,14 @@ def _chamber_json(cc, ch):
     }
 
 
+@cache.cached
+def _listing(n, interior_only):
+    """The --list entries of a complex, built once per process.  Reports
+    share the list and only read it."""
+    cc = hs.chamber_complex(n, interior_only=interior_only)
+    return [_chamber_json(cc, ch) for ch in cc.chambers]
+
+
 def _dim_counts(cc):
     """Cells by dimension (string keys) and their Euler sum."""
     counts = cc.counts_by_dim
@@ -138,7 +207,7 @@ def _cmd_chambers(args):
     results = {"n": args.n, "counts_by_dim": counts,
                "total": len(cc.chambers)}
     if args.list:
-        results["chambers"] = [_chamber_json(cc, ch) for ch in cc.chambers]
+        results["chambers"] = _listing(args.n, args.interior_only)
     if args.locate:
         ch = _locate(cc, _parse_vec(args.locate))
         results["located"] = _chamber_json(cc, ch)

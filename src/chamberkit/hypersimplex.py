@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .cache import cached
 from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
@@ -82,10 +83,13 @@ class Arrangement:
     def signs_at(self, point):
         """The sign string ("0", "+" or "-" per wall) of a point, in integer
         arithmetic over the point's common denominator."""
-        d, nums = scaled(point)
+        return self.signs_at_scaled(*scaled(point))
+
+    def signs_at_scaled(self, d, nums):
+        """signs_at for the point nums / d (see ratutil.scaled)."""
         out = []
         for h in self.hyperplanes:
-            v = sum(a * x for a, x in zip(h.normal, nums)) - h.const * d
+            v = sum(map(mul, h.normal, nums)) - h.const * d
             out.append("0" if v == 0 else ("+" if v > 0 else "-"))
         return "".join(out)
 
@@ -606,7 +610,7 @@ class ChamberComplex:
         d, nums = scaled(point)
         if sum(nums) != 2 * d or any(x < 0 or x > d for x in nums):
             raise ValueError("point does not lie in D(n)")
-        signs = self.arrangement.signs_at(point)
+        signs = self.arrangement.signs_at_scaled(d, nums)
         ch = self._by_signs.get(signs)
         if ch is None:
             box = [h.label for h, sign in zip(self.arrangement.hyperplanes, signs)

@@ -77,10 +77,10 @@ class StableTree:
 
     Each split is the sorted tuple of legs on the side not containing leg 1;
     the family is laminar (pairwise nested or disjoint) and each side of a
-    split carries at least two legs.  Each split is the edge above one
-    vertex, which holds the split's legs that no smaller split holds; the
-    root holds the rest, leg 1 among them.  A vertex's valence is its legs
-    plus its edges.
+    split carries at least two legs; other families raise ValueError.  Each
+    split is the edge above one vertex, which holds the split's legs that no
+    smaller split holds; the root holds the rest, leg 1 among them.  A
+    vertex's valence is its legs plus its edges.
     """
 
     n: int
@@ -90,6 +90,19 @@ class StableTree:
         canon = tuple(sorted((tuple(sorted(s)) for s in self.splits),
                              key=lambda s: (len(s), s)))
         object.__setattr__(self, "splits", canon)
+        legs = set(range(2, self.n + 1))
+        sides = [set(s) for s in canon]
+        for i, side in enumerate(sides):
+            if not (2 <= len(side) == len(canon[i]) <= self.n - 2
+                    and side <= legs):
+                raise ValueError("split %r is not 2 to %d distinct legs "
+                                 "from 2..%d" % (canon[i], self.n - 2, self.n))
+            for j in range(i + 1, len(sides)):
+                # sorted by size: a later split contains side or misses it
+                if not (side < sides[j] or side.isdisjoint(sides[j])):
+                    raise ValueError("splits %r and %r are neither strictly "
+                                     "nested nor disjoint"
+                                     % (canon[i], canon[j]))
 
     @property
     def codim(self):
@@ -612,9 +625,13 @@ class BuildingLattice:
         """The intersection of the generators' loci: points forced together
         by one generator coincide, so generators that share a point merge
         into one clique."""
+        light = set(range(3, self.n + 1))
         cliques = []
         for g in gens:
             merged = set(g)
+            if not merged <= light:
+                raise ValueError("generator %r leaves the light points 3..%d"
+                                 % (tuple(g), self.n))
             for c in [c for c in cliques if c & merged]:
                 merged |= c
                 cliques.remove(c)

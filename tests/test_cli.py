@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberkit import cache
-from chamberkit.cli import _build_parser, main, run
+from chamberkit.cli import _build_parser, _render, _report, main, run
 from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_int, parse_vector
 from chamberkit.strata import dm_strata, permutohedron_faces
@@ -653,9 +653,37 @@ def test_interior_only_locate_names_the_boundary(capsys):
     assert code == 0 and report["results"]["located"]["dim"] == 0
 
 
-def test_table_report_leaves_no_reference_cycle():
-    argv = ["--format", "table", "stability", "--weights", "1/2,1/2,1/2,1/2",
-            "--partition", "{1,2}|{3}|{4}", "--profile"]
+# one request of every subcommand
+_EVERY_COMMAND = [
+    "chambers --n 4 --list --locate 1/2,1/2,1/2,1/2",
+    "admissible --n 4",
+    "omega --point " + _PIN_POINTS[0],
+    "stability --weights 1/2,1/2,1/2,1/2 --partition {1,2}|{3}|{4} --profile",
+    "xi --point " + _PIN_POINTS[0],
+    "strata --space lm --n 5 --list",
+    "divisors --from 1,1,1,1,1 --to 1,1,1/3,1/3,1/3",
+    "invert --mode comp --method strata --coeffs 0,1,1/2,1/3 --order 6",
+    "verify --suite series",
+    "census --space lm --n 5 --check GOLDEN/lm_strata_5.json",
+]
+
+
+def _every_command_argv(command):
+    return command.replace("GOLDEN", GOLDEN).split()
+
+
+def test_every_command_is_listed_once():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(a.split()[0] for a in _EVERY_COMMAND) == sorted(sub.choices)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv", _EVERY_COMMAND)
+def test_warm_report_leaves_no_reference_cycle(argv, fmt):
+    # a warm request leaves nothing for the cyclic collector: with it off,
+    # a full collection afterwards finds no garbage
+    argv = ["--format", fmt] + _every_command_argv(argv)
     text, code = run(argv)
     gc.collect()
     gc.disable()
@@ -664,6 +692,61 @@ def test_table_report_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _oracle(report):
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND)
+def test_render_matches_json_module_on_every_command(argv):
+    args = _build_parser().parse_args(_every_command_argv(argv))
+    report = _report(args.command, *args.func(args))
+    assert _render(report, "json") == _oracle(report)
+
+
+# strings and keys with non-ASCII text, quotes, backslashes and control
+# characters; str-keyed and int-keyed dicts (json cannot sort the two kinds
+# of key together)
+_RENDER_TEXT = st.text(st.one_of(st.characters(),
+                                 st.sampled_from('"\\/\x00\x1f\x7f\n\t')),
+                       max_size=6)
+_RENDER_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-9, 9),
+    st.integers(-10 ** 30, 10 ** 30), _RENDER_TEXT,
+    st.lists(_RENDER_TEXT, max_size=4))
+_RENDER_TREES = st.recursive(_RENDER_LEAVES, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=3).map(tuple),
+    st.dictionaries(_RENDER_TEXT, kids, max_size=4),
+    st.dictionaries(st.integers(-3, 3), kids, max_size=3)), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_RENDER_TREES)
+def test_render_matches_json_module(tree):
+    assert _render(tree, "json") == _oracle(tree)
+    assert _render({"a": [tree, [[]], {"b": {}}]}, "json") == \
+        _oracle({"a": [tree, [[]], {"b": {}}]})
+
+
+class _Label(str):
+    pass
+
+
+def test_render_hands_other_leaves_to_json():
+    # floats, subclasses of the scalar types and the keys json accepts are
+    # written as json writes them; what json refuses raises its TypeError
+    tree = {"f": [1.5, -0.0, 1e300, float("nan"), float("-inf")],
+            "s": _Label("x\u00e9"), "t": [_Label("a"), "b"],
+            "k": {1.5: 0, 2: 1}, "z": {None: 1}, "b": {True: [], False: ()}}
+    assert _render(tree, "json") == _oracle(tree)
+    for bad in ({"x": Fraction(1, 2)}, [object()], {(1, 2): 0}, {1: 0, "a": 1}):
+        with pytest.raises(TypeError) as ours:
+            _render(bad, "json")
+        with pytest.raises(TypeError) as theirs:
+            _oracle(bad)
+        assert str(ours.value) == str(theirs.value)
 
 
 def test_census_check_rejects_non_object(tmp_path, capsys):

@@ -3,8 +3,9 @@
 Invariants are explicit checks that raise, never assert, which python -O
 strips.  No nested function calls itself: the closure would refer to its own
 cell, so every call would leave a reference cycle for the collector;
-recursions are module-level functions instead.  The README's table of
-enumeration guards quotes each cap as the constant in the code.
+recursions are module-level functions instead.  No json.dump or json.dumps
+call takes an indent, which makes json leave its C encoder.  The README's
+table of enumeration guards quotes each cap as the constant in the code.
 """
 
 import ast
@@ -83,6 +84,29 @@ def test_no_assert_and_no_self_calling_closure():
     closures = [(name,) + hit for name, tree in modules
                 for hit in self_calling_closures(tree)]
     assert closures == []
+
+
+def indented_json_calls(tree):
+    """Line of each json.dump or json.dumps call given an indent: json then
+    leaves its C encoder for the pure-Python one."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and any(kw.arg == "indent" for kw in node.keywords)]
+
+
+def test_scan_finds_an_indented_json_call():
+    tree = ast.parse("json.dumps(x, sort_keys=True)\n"
+                     "json.dump(x, fh, indent=2)\n"
+                     "text = json.dumps(x,\n    indent=None)\n")
+    assert indented_json_calls(tree) == [2, 3]
+
+
+def test_no_indented_json_call():
+    calls = [(name, line) for name, tree in _modules()
+             for line in indented_json_calls(tree)]
+    assert calls == []
 
 
 def readme_guards():

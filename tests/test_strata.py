@@ -140,6 +140,27 @@ def test_tree_structure():
     assert open_t.valences() == (5,) and open_t.vertices() == ((1, 2, 3, 4, 5),)
 
 
+@pytest.mark.parametrize("splits", [
+    ((2, 3), (3, 4)),  # overlapping, so not laminar
+    ((2, 3), (3, 2)),  # one split twice
+    ((1, 2),),  # holds leg 1
+    ((2, 6),),  # a leg above n
+    ((2, 2, 3),),  # a repeated leg
+    ((2,),),  # one leg below the edge
+    ((2, 3, 4, 5),),  # one leg above it
+])
+def test_tree_rejects_splits_of_no_stable_tree(splits):
+    with pytest.raises(ValueError):
+        StableTree(5, splits)
+
+
+def test_building_closure_rejects_points_outside_the_light_set():
+    bl = wonderful_building_set(6)
+    for gens in ([(3, 4, 9)], [(3, 4, 5), (2, 3, 4)], [(1, 5, 6)]):
+        with pytest.raises(ValueError):
+            bl.closure(gens)
+
+
 @pytest.mark.parametrize("n", range(4, 9))
 def test_tree_vertices_partition_the_legs(n):
     for t in dm_strata(n).trees:
