@@ -57,9 +57,17 @@ def _parse_partition(text):
         raise _CliError("bad partition %r: %s" % (text, exc))
 
 
-def _locate(cc, point):
+def _point_cell(text, n=None, interior_only=False):
+    """The point parsed from text, the complex of D(n) (n the point's length
+    by default) and the cell holding the point."""
+    point = _parse_vec(text)
+    if n is None:
+        n = len(point)
+    elif n != len(point):
+        raise _CliError("--n disagrees with the point length")
+    cc = hs.chamber_complex(n, interior_only=interior_only)
     try:
-        return cc.locate(point)
+        return point, cc, cc.locate(point)
     except LookupError as exc:
         raise _CliError(str(exc))
 
@@ -208,8 +216,8 @@ def _cmd_chambers(args):
                "total": len(cc.chambers)}
     if args.list:
         results["chambers"] = _listing(args.n, args.interior_only)
-    if args.locate:
-        ch = _locate(cc, _parse_vec(args.locate))
+    if args.locate is not None:
+        _, _, ch = _point_cell(args.locate, args.n, args.interior_only)
         results["located"] = _chamber_json(cc, ch)
     return ({"n": args.n, "interior_only": args.interior_only}, results,
             [_cert("euler-characteristic", euler, expected)], [])
@@ -234,13 +242,10 @@ def _cmd_admissible(args):
 
 
 def _cmd_omega(args):
-    point = _parse_vec(args.point)
-    n = len(point)
-    cc = hs.chamber_complex(n)
-    ch = _locate(cc, point)
+    point, cc, ch = _point_cell(args.point)
     ids = hs.omega_set(ch)
     results = {
-        "n": n,
+        "n": cc.n,
         "chamber": _chamber_json(cc, ch),
         "omega": list(ids),
     }
@@ -253,7 +258,7 @@ def _cmd_stability(args):
     lin = wt.Linearisation(entries)
     results = {"n": lin.n, "weights": _fmt_vec(lin.entries)}
     certs = []
-    if args.partition:
+    if args.partition is not None:
         part = _parse_partition(args.partition)
         status, block, total = wt.stability_report(lin, part)
         results["partition"] = str(part)
@@ -275,28 +280,22 @@ def _cmd_stability(args):
 
 
 def _cmd_xi(args):
-    point = _parse_vec(args.point)
-    if args.n is not None and args.n != len(point):
-        raise _CliError("--n disagrees with the point length")
-    n = len(point)
-    cc = hs.chamber_complex(n)
-    ch = _locate(cc, point)
+    point, cc, ch = _point_cell(args.point, args.n)
     if ch.on_boundary:
         raise _CliError("xi is defined on interior chambers only")
-    image = wt.xi(ch)
-    k = ch.wall_incidence(cc.arrangement)
+    pairs, image, covers = wt._xi_pass(ch)
     results = {
-        "n": n,
+        "n": cc.n,
         "chamber": _chamber_json(cc, ch),
-        "zero_pairs": k,
+        "zero_pairs": len(pairs),
         "xi_size": len(image),
         "xi_cells": list(image),
     }
     certs = [{"check": "dimension-dichotomy",
               "value": {"dim": ch.dim, "xi_size": len(image)},
-              "pass": (len(image) == 1) == (ch.dim == n - 1)}]
-    if k <= 2:
-        results["facet_cover_count"] = wt.facet_cover_count(ch, k)
+              "pass": (len(image) == 1) == (ch.dim == cc.n - 1)}]
+    if len(pairs) <= 2:
+        results["facet_cover_count"] = covers
     return {"point": _fmt_vec(point)}, results, certs, []
 
 
@@ -481,12 +480,12 @@ def _verify_weights(n, rng, certs):
     example_point = (Fraction(3, 5), Fraction(1, 3), Fraction(2, 5),
                    Fraction(1, 3), Fraction(1, 3))
     ch = cc.locate(example_point)
-    image = wt.xi(ch)
+    pairs, image, covers = wt._xi_pass(ch)
     certs.append({"check": "xi-facet-example",
                   "value": {"dim": ch.dim, "xi": len(image),
-                            "covers": wt.facet_cover_count(ch, 1)},
-                  "pass": ch.dim == 3 and len(image) >= 2
-                  and wt.facet_cover_count(ch, 1) == 2})
+                            "covers": covers},
+                  "pass": ch.dim == 3 and len(pairs) == 1
+                  and len(image) >= 2 and covers == 2})
     fine = wt.fine_chambers(4)
     certs.append(_cert("fine-chambers-n4", len(fine), 27))
 
@@ -587,13 +586,13 @@ def load_census(path):
 
 
 def _cmd_census(args):
-    if not args.save and not args.check:
+    if args.save is None and args.check is None:
         raise _CliError("census needs --save PATH or --check PATH")
-    if args.save and args.check:
+    if args.save is not None and args.check is not None:
         raise _CliError("census takes --save PATH or --check PATH, not both")
     inputs = {"space": args.space, "n": args.n}
     notes = _lm_notes(args.space, args.n)
-    if args.save:
+    if args.save is not None:
         payload = save_census(args.save, args.space, args.n)
         results = {"saved": args.save, "census": payload["census"]}
         return inputs, results, [], notes
@@ -691,7 +690,7 @@ def run(argv):
     inputs, results, certs, notes = args.func(args)
     report = _report(args.command, inputs, results, certs, notes)
     text = _render(report, args.format)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             fh.write(text if args.format == "json"
                      else _render(report, "json"))

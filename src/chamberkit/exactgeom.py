@@ -2,7 +2,9 @@
 
 Linear constraints and H-polytopes over Fraction coordinates, plus a small
 two-phase simplex for feasibility with mixed strict and non-strict
-constraints, affine dimension, and relative interior points.
+constraints, affine dimension, and relative interior points.  Ranks come
+from one fraction-free echelon step (_eliminate), which the integer
+searches of hypersimplex and weights share.
 
 The simplex keeps the reduced costs as the last row of its tableau, so one
 loop (_simplex, Bland's rule) runs both phases.  It solves one LP shape, the
@@ -250,26 +252,31 @@ def lp_feasible(constraints):
     return x if value is not None and value > 0 else None
 
 
-def _rank(vectors):
-    """Rank of a list of rational vectors, by Gaussian elimination."""
-    rows = [list(v) for v in vectors if any(x != 0 for x in v)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < width:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), -1)
-        if piv < 0:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / prow[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+def _eliminate(row, rhs, ech, pivs):
+    """One fraction-free echelon step: reduce (row, rhs) against the rows
+    (coeffs, rhs) of ech, whose pivot columns are pivs.  Returns the reduced
+    row, its right-hand side and its pivot, -1 when the row is dependent."""
+    for (eco, erh), p in zip(ech, pivs):
+        f = row[p]
+        if f:
+            ep = eco[p]
+            row = [a * ep - f * b for a, b in zip(row, eco)]
+            rhs = rhs * ep - f * erh
+    return row, rhs, next((j for j, c in enumerate(row) if c), -1)
+
+
+def _rank(rows, cap):
+    """Rank of the rows, counted up to cap."""
+    ech = []
+    pivs = []
+    for row in rows:
+        row, _, piv = _eliminate(row, 0, ech, pivs)
+        if piv >= 0:
+            ech.append((row, 0))
+            pivs.append(piv)
+            if len(ech) == cap:
+                break
+    return len(ech)
 
 
 def _slack_pass(p):
@@ -303,7 +310,8 @@ def affine_dimension(p: HPolytope) -> int:
     found = _slack_pass(p)
     if found is None:
         return -1
-    return p.ambient_dim - _rank([c.coeffs for c, value, _ in found[1] if value == 0])
+    return p.ambient_dim - _rank([c.coeffs for c, value, _ in found[1] if value == 0],
+                                 p.ambient_dim)
 
 
 def relative_interior_point(p: HPolytope):

@@ -42,7 +42,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .cache import cached
-from .exactgeom import EQ, LE, LT, HPolytope, LinConstraint, lp_feasible
+from .exactgeom import (EQ, LE, LT, HPolytope, LinConstraint, _eliminate,
+                        _rank, lp_feasible)
 from .ratutil import scaled
 
 MAX_N = 8
@@ -159,6 +160,28 @@ def carrier_walls(n):
     return tuple(out)
 
 
+def _chamber_wall_data(chamber):
+    """Signs of a carrier chamber against the weight walls, and zero pairs:
+    the one reader of a cell's weight-wall signs.
+
+    On the carrier the wall for S^c is the negated wall for S, so the carrier
+    sign vector determines a unique strict weight-domain sign for every wall
+    the chamber is not on; walls the chamber lies on come in complementary
+    pairs (S, S^c), S the wall's canonical_subset.
+    """
+    signs = chamber.signs
+    fixed = {}
+    pairs = []
+    for idx, (plane, flip, comp) in enumerate(carrier_walls(chamber.n)):
+        sign = signs[plane]
+        if sign == "0":
+            if not flip:
+                pairs.append((idx, comp))
+        else:
+            fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
+    return weight_walls(chamber.n), fixed, pairs
+
+
 def generic_point(n, deficit):
     """The point x_i = 2 (2^n + 2^i) / ((n + 1) 2^n - deficit), the seed of
     the breadth-first search over both arrangements cut by the weight walls.
@@ -207,41 +230,9 @@ class Chamber:
     def zero_walls(self, arrangement):
         return [h for h, s in zip(arrangement.hyperplanes, self.signs) if s == "0"]
 
-    def wall_incidence(self, arrangement):
-        """Number of subset-sum walls this cell lies on."""
-        return sum(1 for h, s in zip(arrangement.hyperplanes, self.signs)
-                   if s == "0" and h.kind == "sum")
-
 
 # ---------------------------------------------------------------------------
-# Integer echelon elimination and the cell engine shared by both complexes.
-
-
-def _eliminate(row, rhs, ech, pivs):
-    """One fraction-free echelon step: reduce (row, rhs) against the rows
-    (coeffs, rhs) of ech, whose pivot columns are pivs.  Returns the reduced
-    row, its right-hand side and its pivot, -1 when the row is dependent."""
-    for (eco, erh), p in zip(ech, pivs):
-        f = row[p]
-        if f:
-            ep = eco[p]
-            row = [a * ep - f * b for a, b in zip(row, eco)]
-            rhs = rhs * ep - f * erh
-    return row, rhs, next((j for j, c in enumerate(row) if c), -1)
-
-
-def _rank(rows, cap):
-    """Rank of the integer rows, counted up to cap."""
-    ech = []
-    pivs = []
-    for row in rows:
-        row, _, piv = _eliminate(row, 0, ech, pivs)
-        if piv >= 0:
-            ech.append((row, 0))
-            pivs.append(piv)
-            if len(ech) == cap:
-                break
-    return len(ech)
+# Integer echelon solutions and the cell engine shared by both complexes.
 
 
 def _solutions(rows, m, compatible=None):
@@ -670,20 +661,6 @@ class AdmissiblePolytope:
         body = "|".join("{" + ",".join(str(i + 1) for i in s) + "}" for s in self.subsets)
         return "%s%s" % (self.kind, body)
 
-    def interior_contains(self, point):
-        """Exact membership of a point in the relative interior."""
-        return self.interior_contains_scaled(*scaled(point))
-
-    def interior_contains_scaled(self, d, nums):
-        """interior_contains for the point nums / d (see ratutil.scaled)."""
-        if sum(nums) != 2 * d or any(x <= 0 or x >= d for x in nums):
-            return False
-        if self.kind == "FULL":
-            return True
-        if self.kind == "SECTION":
-            return sum(nums[i] for i in self.subsets[0]) == d
-        return all(sum(nums[i] for i in s) < d for s in self.subsets)
-
 
 @cached
 def _admissible(n):
@@ -723,12 +700,20 @@ def rejected_cut_families(n):
 def omega_set(chamber):
     """Ids of the admissible polytopes whose relative interior contains the cell.
 
-    A cell with a fixed sign vector lies either inside or outside each
-    admissible interior, so testing the exact witness decides membership.
+    Every admissible interior lies in the open D(n), so a boundary cell is in
+    none.  An interior cell is in FULL, in SECTION{S} when it lies on the
+    wall S, and in CUTS{S_1..S_k} when it lies strictly below every S_j: its
+    weight-wall signs decide each case.
     """
-    d, nums = scaled(chamber.witness)
-    return tuple(sorted(p.id for p in _admissible(chamber.n)[0]
-                        if p.interior_contains_scaled(d, nums)))
+    if chamber.on_boundary:
+        return ()
+    walls, fixed, pairs = _chamber_wall_data(chamber)
+    on = {walls[i] for i, _ in pairs}
+    below = {walls[i] for i, sign in fixed.items() if sign == "-"}
+    return tuple(sorted(
+        p.id for p in _admissible(chamber.n)[0]
+        if p.kind == "FULL" or (p.kind == "SECTION" and p.subsets[0] in on)
+        or (p.kind == "CUTS" and below.issuperset(p.subsets))))
 
 
 # ---------------------------------------------------------------------------

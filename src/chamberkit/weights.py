@@ -18,7 +18,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cache import cached
-from .hypersimplex import (CellEngine, _rank, _solutions, carrier_walls,
+from .exactgeom import _eliminate
+from .hypersimplex import (CellEngine, _chamber_wall_data, _solutions,
                            generic_point, weight_walls)
 from .ratutil import parse_int, scaled
 
@@ -378,27 +379,6 @@ def locate_weight(A):
 # The xi correspondence and facet covers.
 
 
-def _chamber_wall_data(chamber):
-    """Signs of a carrier chamber against the weight walls, and zero pairs.
-
-    On the carrier the wall for S^c is the negated wall for S, so the carrier
-    sign vector determines a unique strict weight-domain sign for every wall
-    the chamber is not on; walls the chamber lies on come in complementary
-    pairs to be resolved per candidate cell.
-    """
-    signs = chamber.signs
-    fixed = {}
-    pairs = []
-    for idx, (plane, flip, comp) in enumerate(carrier_walls(chamber.n)):
-        sign = signs[plane]
-        if sign == "0":
-            if not flip:
-                pairs.append((idx, comp))
-        else:
-            fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
-    return weight_walls(chamber.n), fixed, pairs
-
-
 PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))
 
 
@@ -415,10 +395,14 @@ def _local_cone(vectors):
     Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, 3.7), so
     lines are kept in each orientation that is not - on the first vector.
     """
-    columns = list(zip(*vectors))
-    cols = []
-    for i in range(len(columns)):
-        if _rank([columns[j] for j in cols + [i]], len(cols) + 1) > len(cols):
+    ech = []
+    pivs = []
+    cols = []  # a column basis, from one echelon pass
+    for i, column in enumerate(zip(*vectors)):
+        column, _, piv = _eliminate(column, 0, ech, pivs)
+        if piv >= 0:
+            ech.append((column, 0))
+            pivs.append(piv)
             cols.append(i)
     r = len(cols)
     rows = [tuple(v[i] for i in cols) for v in vectors]
@@ -449,8 +433,9 @@ def _local_cone(vectors):
     return found
 
 
-def xi(chamber):
-    """Ids (wall sign strings) of weight-domain cells whose closure holds c.
+def _xi_pass(chamber):
+    """The zero pairs of an interior chamber, its xi cells (sorted) and its
+    facet cover count, from one read of its wall signs and one local cone.
 
     A cell's closure holds c exactly when the cell holds w + e d for the
     witness w of c, every small e > 0 and some d with sum(d) > 0 (by
@@ -459,6 +444,11 @@ def xi(chamber):
     wall S through c reads sign(1_S . d), since 1_S . w = 1.  So the cells
     are the covectors + on 1 of the local cone {1, 1_S, 1_{S^c}}, each pair
     of walls through c taking one of the five PAIR_OPTIONS.
+
+    A facet cover, a cell of dimension dim(c)+1 with c as a facet, keeps
+    exactly one wall of each pair at zero (keeping both forces the carrier;
+    keeping none leaves the dimension too high), and the partner wall is
+    then forced positive: the xi cells whose every pair reads (0,+) or (+,0).
     """
     if chamber.on_boundary:
         raise ValueError("xi is defined for chambers inside the open hypersimplex")
@@ -475,24 +465,24 @@ def xi(chamber):
         for bit, w in enumerate(pair_walls, 1):
             sig[w] = "+" if plus >> bit & 1 else "-" if minus >> bit & 1 else "0"
         cells.append("".join(sig))
-    return tuple(sorted(cells))
+    covers = sum(1 for c in cells
+                 if all(c[a] + c[b] in ("0+", "+0") for a, b in pairs))
+    return pairs, tuple(sorted(cells)), covers
+
+
+def xi(chamber):
+    """Ids (wall sign strings) of weight-domain cells whose closure holds c
+    (see _xi_pass)."""
+    return _xi_pass(chamber)[1]
 
 
 def facet_cover_count(chamber, k):
-    """Number of weight-domain cells of dimension dim(c)+1 with c as a facet.
-
-    Such a cell keeps exactly one wall of each complementary pair through c
-    at zero (keeping both forces the carrier; keeping none leaves the
-    dimension too high), and the partner wall is then forced positive: the
-    xi(c) cells whose every pair reads (0,+) or (+,0).
-    """
-    if chamber.on_boundary:
-        raise ValueError("facet covers are defined for interior chambers")
-    pairs = _chamber_wall_data(chamber)[2]
+    """Number of weight-domain cells of dimension dim(c)+1 with c as a facet,
+    for c on k walls (see _xi_pass)."""
+    pairs, _, covers = _xi_pass(chamber)
     if k != len(pairs):
         raise ValueError("chamber lies on %d walls, not %d" % (len(pairs), k))
-    return sum(1 for sig in xi(chamber)
-               if all(sig[a] + sig[b] in ("0+", "+0") for a, b in pairs))
+    return covers
 
 
 def permute_weight_signs(n, perm, signs):

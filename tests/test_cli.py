@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberkit import cache
+from chamberkit import weights as wt
 from chamberkit.cli import _build_parser, _render, _report, main, run
 from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_int, parse_vector
@@ -370,6 +371,22 @@ def test_xi_example():
     assert res["facet_cover_count"] == 2
 
 
+@pytest.mark.parametrize("point", [_PIN_POINTS[0], _PIN_POINTS[4]])
+def test_xi_report_runs_the_local_cone_once(monkeypatch, point):
+    # the README point, on one wall, and a point of D(5) on none: xi, the
+    # zero pairs and the facet covers come from one local cone
+    calls = []
+    cone = wt._local_cone
+
+    def counted(vectors):
+        calls.append(vectors)
+        return cone(vectors)
+
+    monkeypatch.setattr(wt, "_local_cone", counted)
+    assert run(["xi", "--point", point])[1] == 0
+    assert len(calls) == 1
+
+
 def test_omega_example():
     report, code = run_json(["omega", "--point", "3/5,1/3,2/5,1/3,1/3"])
     assert code == 0
@@ -629,6 +646,23 @@ def test_input_errors_name_their_input(tmp_path, capsys):
             ("{1,2}|{2,3}|{4}", "blocks must disjointly cover 1..n")):
         assert main(argv + [text]) == 1
         assert _one_error(capsys) == "bad partition %r: %s" % (text, reason)
+    # an empty value is an input, not an absent option
+    assert main(argv + [""]) == 1
+    assert _one_error(capsys) == (
+        "bad partition '': malformed partition block: ''")
+    assert main(["chambers", "--n", "4", "--locate", ""]) == 1
+    assert _one_error(capsys) == (
+        "bad rational vector '': empty field in rational vector ''")
+    assert main(["--out", "", "chambers", "--n", "4"]) == 1
+    assert _one_error(capsys) == (
+        "[Errno 2] No such file or directory: ''")
+    census = ["census", "--space", "dm", "--n", "5"]
+    assert main(census + ["--save", ""]) == 1
+    assert _one_error(capsys) == (
+        "[Errno 2] No such file or directory: ''")
+    assert main(census + ["--save", "", "--check", "x"]) == 1
+    assert _one_error(capsys) == (
+        "census takes --save PATH or --check PATH, not both")
     path = tmp_path / "census.txt"
     path.write_text("not json\n")
     assert main(["census", "--space", "dm", "--n", "5", "--check",

@@ -310,14 +310,16 @@ def test_signs_at_matches_fraction_oracle(n):
 
 
 def test_interior_contains_matches_fraction_oracle():
-    # every admissible polytope of D(5) at every cell witness
-    cc = chamber_complex(5)
-    polys = enumerate_admissible(5)
-    for ch in cc.chambers:
-        inside = [p.id for p in polys
-                  if interior_contains_fractions(p, ch.witness)]
-        assert [p.id for p in polys if p.interior_contains(ch.witness)] == inside
-        assert omega_set(ch) == tuple(sorted(inside))
+    # omega read off the weight-wall signs against every admissible
+    # polytope of D(n) tested at the cell witness: every cell of D(4) and
+    # D(5), every 7th cell of D(6), in both complexes
+    for n, step in ((4, 1), (5, 1), (6, 7)):
+        polys = enumerate_admissible(n)
+        for interior_only in (False, True):
+            for ch in chamber_complex(n, interior_only).chambers[::step]:
+                inside = [p.id for p in polys
+                          if interior_contains_fractions(p, ch.witness)]
+                assert omega_set(ch) == tuple(sorted(inside))
 
 
 def test_locate_rejects_outside():
@@ -402,7 +404,8 @@ def test_admissible_n6_examples():
     # (2/5,2/5,2/5,2/5,1/5,1/5), so the family is accepted
     assert "CUTS{1,2}|{3,4}|{5,6}" in polys
     p = polys["CUTS{1,2}|{3,4}|{5,6}"]
-    assert p.interior_contains((F(2, 5), F(2, 5), F(2, 5), F(2, 5), F(1, 5), F(1, 5)))
+    assert interior_contains_fractions(
+        p, (F(2, 5), F(2, 5), F(2, 5), F(2, 5), F(1, 5), F(1, 5)))
     # a pair plus its complement can never be strict on the carrier
     rej = {p.id for p in rejected_cut_families(6)}
     assert "CUTS{1,2}|{3,4,5,6}" in rej

@@ -9,6 +9,7 @@ table of enumeration guards quotes each cap as the constant in the code.
 """
 
 import ast
+import importlib
 import os
 import re
 
@@ -127,3 +128,33 @@ def readme_guards():
 
 def test_readme_guard_table_matches_the_caps():
     assert readme_guards() == GUARDS
+
+
+def tracer_targets():
+    """TRACED and MODULES of perfbench/tracer.py, read with ast: the
+    (module, attribute) pairs the tracer patches by name, and the modules it
+    patches them in."""
+    with open(os.path.join(ROOT, "perfbench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("TRACED", "MODULES")}
+
+
+def test_traced_names_resolve():
+    # a refactor that moves or renames a traced function fails here, not in
+    # a traced benchmark run
+    targets = tracer_targets()
+    missing = []
+    for module in targets["MODULES"]:
+        importlib.import_module("chamberkit." + module)
+    for module, attribute in targets["TRACED"]:
+        obj = importlib.import_module("chamberkit." + module)
+        for part in attribute.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append((module, attribute))
+    assert len(targets["TRACED"]) > 1
+    assert missing == []

@@ -6,13 +6,12 @@ from itertools import combinations, product
 import pytest
 
 from chamberkit.exactgeom import eq, gt, le, lp_feasible, lt
-from chamberkit.hypersimplex import (Chamber, _rank, build_arrangement,
-                                     chamber_complex)
+from chamberkit.hypersimplex import (Chamber, _chamber_wall_data, _rank,
+                                     build_arrangement, chamber_complex)
 from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
                                 STRICTLY_SEMISTABLE, TYPICAL, UNSTABLE,
                                 CoincidencePartition, FineChamber,
                                 Linearisation, WeightVector,
-                                _chamber_wall_data,
                                 classify_linearisation, coarse_walls,
                                 delete_coordinate, facet_cover_count,
                                 fine_chambers, has_unit_subset, locate_weight,
@@ -236,6 +235,11 @@ def test_rescale_examples():
     assert all(x < y for x, y in zip(b.entries, a.entries))
 
 
+def _pair_count(ch):
+    """The number of complementary wall pairs through a carrier chamber."""
+    return len(_chamber_wall_data(ch)[2])
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_chamber_wall_data_matches_per_wall_oracle(n):
     for ch in chamber_complex(n, True).chambers:
@@ -332,7 +336,7 @@ def test_xi_injective_on_sample():
     cc = chamber_complex(5)
     rng = random.Random(808)
     cells = [c for c in cc.chambers if not c.on_boundary
-             and c.wall_incidence(cc.arrangement) <= 1]
+             and _pair_count(c) <= 1]
     picks = rng.sample(cells, 10)
     images = [xi(c) for c in picks]
     assert len(set(images)) == len(picks)
@@ -344,7 +348,7 @@ def test_xi_equivariance():
     perm = list(range(5))
     rng.shuffle(perm)
     cells = [c for c in cc.chambers if not c.on_boundary
-             and c.wall_incidence(cc.arrangement) == 1]
+             and _pair_count(c) == 1]
     for ch in rng.sample(cells, 3):
         from chamberkit.hypersimplex import permute_point
         image = {permute_weight_signs(5, perm, s) for s in xi(ch)}
@@ -444,8 +448,6 @@ def _xi_local_lp(chamber):
     return tuple(sorted(found))
 
 
-def _wall_count(cc, ch):
-    return ch.wall_incidence(cc.arrangement)
 
 
 def _check_against_lp_oracle(ch):
@@ -467,7 +469,7 @@ def test_xi_matches_lp_oracle_n5_sample():
     cc = chamber_complex(5, True)
     rng = random.Random(4099)
     for k, count in ((1, 8), (2, 1)):
-        cells = [c for c in cc.chambers if _wall_count(cc, c) == k]
+        cells = [c for c in cc.chambers if _pair_count(c) == k]
         for ch in rng.sample(cells, count):
             _check_against_lp_oracle(ch)
 
@@ -490,7 +492,7 @@ def test_xi_matches_local_lp_on_dependent_cell_n6():
 def test_xi_sizes_on_every_interior_cell_n5():
     cc = chamber_complex(5, True)
     for ch in cc.chambers:
-        k = _wall_count(cc, ch)
+        k = _pair_count(ch)
         assert len(xi(ch)) == 5 ** k
         assert facet_cover_count(ch, k) == 2 ** k
 
