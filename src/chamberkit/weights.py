@@ -86,31 +86,44 @@ class Linearisation:
 
 @dataclass(frozen=True)
 class CoincidencePartition:
-    """A set partition of {1..n}, canonically ordered."""
+    """A set partition of {1..n}, canonically ordered: each block ascending,
+    blocks by their least point.  Equality and hash read the blocks only;
+    the report text is kept beside them."""
 
     blocks: tuple
 
     def __init__(self, blocks):
-        norm = tuple(sorted((tuple(sorted(b)) for b in blocks),
-                            key=lambda b: b[0]))
+        blocks = [tuple(b) for b in blocks]
         seen = set()
-        for b in norm:
+        for b in blocks:
             if not b:
                 raise ValueError("empty block")
             for i in b:
-                if not isinstance(i, int) or i in seen:
+                if isinstance(i, bool) or not isinstance(i, int) or i in seen:
                     raise ValueError("blocks must disjointly cover 1..n")
                 seen.add(i)
         if seen != set(range(1, len(seen) + 1)):
             raise ValueError("blocks must cover 1..n without gaps")
+        norm = tuple(sorted(tuple(sorted(b)) for b in blocks))
         object.__setattr__(self, "blocks", norm)
+        object.__setattr__(self, "_text", "|".join(
+            "{" + ",".join(str(i) for i in b) + "}" for b in norm))
 
     @property
     def n(self):
         return sum(len(b) for b in self.blocks)
 
     def __str__(self):
-        return "|".join("{" + ",".join(str(i) for i in b) + "}" for b in self.blocks)
+        return self._text
+
+
+def _partition(blocks, text):
+    """A CoincidencePartition from blocks already canonical and disjointly
+    covering 1..n, and their text, without the checks of the constructor."""
+    p = object.__new__(CoincidencePartition)
+    object.__setattr__(p, "blocks", blocks)
+    object.__setattr__(p, "_text", text)
+    return p
 
 
 def parse_partition(text):
@@ -173,37 +186,41 @@ def classify_linearisation(L):
     n = L.n
     if n > MAX_CLASSIFY_N:
         raise ValueError("classification guarded to n <= %d" % MAX_CLASSIFY_N)
-    t = L.entries
-    combo = _unit_subset(t, range(2, n // 2 + 1)) or _unit_subset(t, (1,))
+    d, t = scaled(L.entries)
+    combo = (_unit_subset(t, d, range(2, n // 2 + 1))
+             or _unit_subset(t, d, (1,)))
     if combo is None:
         return LinearisationClass(TYPICAL, ())
     return LinearisationClass(ATYPICAL, tuple(i + 1 for i in combo))
 
 
-def _unit_subset(t, sizes):
-    """The first subset of the given sizes that sums to 1 or whose
-    complement does, in size and then lexicographic order; None if none."""
-    total = sum(t)
+def _unit_subset(t, d, sizes):
+    """The first subset of the given sizes whose sum, or whose complement's
+    sum, is d, in size and then lexicographic order; None if none.  t holds
+    integer numerators over the denominator d."""
+    rest = sum(t) - d
     for size in sizes:
-        for combo in combinations(range(len(t)), size):
-            s = sum(t[i] for i in combo)
-            if s == 1 or total - s == 1:
+        for combo, vals in zip(combinations(range(len(t)), size),
+                               combinations(t, size)):
+            s = sum(vals)
+            if s == d or s == rest:
                 return combo
     return None
 
 
 def has_unit_subset(entries):
     """True when some nonempty proper subset of the entries sums to 1."""
-    t = tuple(Fraction(x) for x in entries)
-    return _unit_subset(t, range(1, len(t) // 2 + 1)) is not None
+    d, t = scaled(entries)
+    return _unit_subset(t, d, range(1, len(t) // 2 + 1)) is not None
 
 
 def semistable_profile(L):
-    """All coincidence partitions with every block sum <= 1, canonically sorted.
+    """All coincidence partitions with every block sum <= 1, sorted by blocks.
 
-    Partitions are generated as restricted-growth strings; a branch dies as
-    soon as some block exceeds total weight 1.  Block sums are integer
-    numerators over the weights' common denominator d.
+    One block-wise walk (_grow_profile) emits them already in that order,
+    so no partition is checked or sorted afterwards.  Block sums are integer
+    numerators over the weights' common denominator d; a point of weight
+    over 1 fits in no block, and then the profile is empty.
     """
     if not isinstance(L, Linearisation):
         L = Linearisation(L)
@@ -211,36 +228,41 @@ def semistable_profile(L):
     if n > MAX_PROFILE_N:
         raise ValueError("profile enumeration guarded to n <= %d" % MAX_PROFILE_N)
     d, t = scaled(L.entries)
+    if max(t) > d:
+        return ()
+    w = (0,) + t
     out = []
-    _grow_profile(t, d, [], [], out)
-    return tuple(sorted(out, key=lambda p: p.blocks))
+    _grow_profile(w, d, tuple(range(2, n + 1)), (1,), w[1], 0, (), "{1", out)
+    return tuple(out)
 
 
-def _grow_profile(t, d, assign, sums, out):
-    """Extend the restricted-growth string `assign` (block of each point so
-    far, with block sums `sums`) in every way that keeps each sum <= d, and
-    append the finished partitions to out.
+def _grow_profile(w, d, free, block, s, start, done, text, out):
+    """Append to out, in sorted order, every profile partition that begins
+    with the closed blocks `done` and then the open block `block`.
+
+    w[p] is the weight numerator of point p, `free` the unplaced points in
+    increasing order, s the sum of `block`, and text the report text so far
+    (the open block without its closing brace).  The open block is closed
+    first and then extended by each point of free[start:] in increasing
+    order that keeps its sum <= d; a closed block is a prefix of every
+    extension, so this is the order of sorted(..., key=blocks).  Each next
+    block opens at the least unplaced point, which always fits.
 
     A module-level function rather than a closure that calls itself: such a
     closure is a reference cycle, and it would keep `out` and every
     partition in it alive after the call, until the next full collection.
     """
-    i = len(assign)
-    if i == len(t):
-        blocks = {}
-        for j, b in enumerate(assign):
-            blocks.setdefault(b, []).append(j + 1)
-        out.append(CoincidencePartition(tuple(tuple(v) for v in blocks.values())))
-        return
-    for b in range(len(sums)):
-        if sums[b] + t[i] <= d:
-            sums[b] += t[i]
-            _grow_profile(t, d, assign + [b], sums, out)
-            sums[b] -= t[i]
-    if t[i] <= d:
-        sums.append(t[i])
-        _grow_profile(t, d, assign + [len(sums) - 1], sums, out)
-        sums.pop()
+    if free:
+        p = free[0]
+        _grow_profile(w, d, free[1:], (p,), w[p], 0, done + (block,),
+                      "%s}|{%d" % (text, p), out)
+    else:
+        out.append(_partition(done + (block,), text + "}"))
+    for k in range(start, len(free)):
+        p = free[k]
+        if s + w[p] <= d:
+            _grow_profile(w, d, free[:k] + free[k + 1:], block + (p,),
+                          s + w[p], k, done, "%s,%d" % (text, p), out)
 
 
 def delete_coordinate(L, q):

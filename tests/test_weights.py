@@ -50,6 +50,57 @@ def test_semistable_profile_matches_fraction_oracle():
         assert semistable_profile(lin) == semistable_profile_fractions(lin)
 
 
+# weights at n = 4..9 with an entry over 1 (empty profile), an entry equal
+# to 1, and blocks summing exactly to 1
+_PROFILE_EDGES = (
+    ["3/2", "1/6", "1/6", "1/6"],
+    ["1/8"] * 4 + ["3/2"],
+    ["1"] + ["1/8"] * 8,
+    ["5/4"] + ["3/32"] * 8,
+    ["1", "1/3", "1/3", "1/3"],
+    ["1", "1/4", "1/4", "1/4", "1/4"],
+    ["1/2"] * 4,
+    ["1/2", "1/2", "1/2", "1/4", "1/4"],
+    ["1/3"] * 6,
+    ["2/7"] * 7,
+    ["1/4"] * 8,
+    ["1/2", "1/2", "1/2", "1/8", "1/8", "1/16", "1/16", "1/16", "1/16"],
+    ["2/9"] * 9,
+    ["1", "1/2", "1/8", "1/8", "1/16", "1/16", "1/16", "1/16"],
+)
+
+
+@pytest.mark.parametrize("weights", _PROFILE_EDGES,
+                         ids=[",".join(w) for w in _PROFILE_EDGES])
+def test_semistable_profile_walk_matches_fraction_oracle(weights):
+    # the block-wise walk emits the oracle's partitions in sorted order,
+    # each one as the checking constructor would build it, text included
+    lin = Linearisation(weights)
+    prof = semistable_profile(lin)
+    oracle = semistable_profile_fractions(lin)
+    assert prof == oracle
+    assert list(prof) == sorted(prof, key=lambda p: p.blocks)
+    assert [str(p) for p in prof] == [str(p) for p in oracle]
+    assert all(CoincidencePartition(p.blocks) == p for p in prof)
+    assert (len(prof) == 0) == any(F(w) > 1 for w in weights)
+
+
+def test_semistable_profile_builds_no_partition_through_the_checks(
+        monkeypatch):
+    # the walk emits canonical partitions; only input goes through the
+    # checking constructor
+    calls = []
+    checked = CoincidencePartition.__init__
+
+    def counting(self, blocks):
+        calls.append(blocks)
+        checked(self, blocks)
+
+    monkeypatch.setattr(CoincidencePartition, "__init__", counting)
+    assert len(semistable_profile(["2/7"] * 7)) == 652
+    assert len(calls) == 0
+
+
 def test_semistable_profile_leaves_no_reference_cycle():
     # the partitions go with the last reference to the profile, not at the
     # next full collection of the cyclic garbage collector
@@ -98,6 +149,11 @@ def test_partition_validation():
         CoincidencePartition([(1, 2), (2, 3)])
     with pytest.raises(ValueError):
         CoincidencePartition([(1,), (3,)])
+    # entries are ints, not bools or other types, and no block is empty
+    for blocks in ([(True,), (2,)], [(1,), (False, 2)], [(1.0,), (2,)],
+                   [("a",), (1,)], [(), (1,)]):
+        with pytest.raises(ValueError):
+            CoincidencePartition(blocks)
     p = parse_partition("{3}|{1,2}")
     assert str(p) == "{1,2}|{3}"
 
