@@ -93,7 +93,10 @@ class CoincidencePartition:
     blocks: tuple
 
     def __init__(self, blocks):
-        blocks = [tuple(b) for b in blocks]
+        try:
+            blocks = [tuple(b) for b in blocks]
+        except TypeError as exc:
+            raise ValueError("blocks must be sequences of points") from exc
         seen = set()
         for b in blocks:
             if not b:

@@ -17,7 +17,9 @@ and formula for ordered and unordered set partitions.
 The point tests in Fraction arithmetic: signs_at_fractions takes one
 Fraction dot product per wall, interior_contains_fractions tests the open
 box, the carrier sum and the polytope's walls one Fraction sum at a time,
-and semistable_profile_fractions keeps Fraction block sums.
+and semistable_profile_fractions walks restricted-growth strings with
+Fraction block sums, builds each partition through the checking
+constructor and sorts them.
 comp_inverse_horner re-composes the partial inverse with f by Horner's
 rule for every order.
 

@@ -151,7 +151,7 @@ def test_partition_validation():
         CoincidencePartition([(1,), (3,)])
     # entries are ints, not bools or other types, and no block is empty
     for blocks in ([(True,), (2,)], [(1,), (False, 2)], [(1.0,), (2,)],
-                   [("a",), (1,)], [(), (1,)]):
+                   [("a",), (1,)], [(), (1,)], [1, 2], 3):
         with pytest.raises(ValueError):
             CoincidencePartition(blocks)
     p = parse_partition("{3}|{1,2}")
