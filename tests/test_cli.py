@@ -19,8 +19,6 @@ from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_int, parse_vector
 from chamberkit.strata import dm_strata, permutohedron_faces
 
-from cell_oracles import semistable_profile_fractions
-
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -45,17 +43,6 @@ def test_stability_profile_flag():
                              "--profile"])
     assert code == 0
     assert len(report["results"]["semistable_profile"]) == 10
-
-
-@pytest.mark.parametrize("weights", ("3/2,1/6,1/6,1/6", "1,1/4,1/4,1/4,1/4",
-                                     "1/3,1/3,1/3,1/3,1/3,1/3",
-                                     ",".join(["2/7"] * 7),
-                                     "1,1/2,1/8,1/8,1/16,1/16,1/16,1/16"))
-def test_stability_profile_text_matches_fraction_oracle(weights):
-    report, code = run_json(["stability", "--profile", "--weights", weights])
-    oracle = semistable_profile_fractions(wt.Linearisation(weights.split(",")))
-    assert code == 0
-    assert report["results"]["semistable_profile"] == [str(p) for p in oracle]
 
 
 def test_divisors_example():

@@ -5,14 +5,18 @@
     python3 tools/bench_pairs.py write --raw runs.jsonl --out BENCH.json \
         --title "..."
 
-`run` sends `perfbench/run.py --workload W --seed S --seconds 10 --trace 0`
-in each checkout for every seed, alternating which side goes first, and
-appends one JSON line per run (side, workload, seed and the last line of
-run.py's output) to the raw file, so an interrupted series keeps its runs.
+`run` sends `perfbench/run.py --workload W --seed S --trace 0` in each
+checkout for every seed, alternating which side goes first, and appends one
+JSON line per run (side, workload, seed, the argv sent, the checkout's
+commit and `src/` line count, and the last line of run.py's output) to the
+raw file, so an interrupted series keeps its runs. run.py's default run
+length applies to both sides.
 `write` reads the raw file and writes, per workload, the per-pair values,
 per-side medians and quartiles and the number of pairs the change won for
 each end-to-end metric, with the commits, the `src/` line counts, the
-Python version and nproc.
+command, the Python version and nproc. It refuses a raw file whose runs of
+one side come from more than one tree, or that were sent with different
+commands.
 """
 
 import argparse
@@ -34,12 +38,22 @@ def _seeds(text):
     return list(range(int(lo), int(hi or lo) + 1))
 
 
-def _bench(root, workload, seed, seconds):
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                         check=True).stdout
+def _argv(workload, seed):
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--trace", "0"]
+
+
+def _template(argv):
+    """The argv of a run as text, with its workload and seed as W and S."""
+    out = list(argv)
+    for flag, name in (("--workload", "W"), ("--seed", "S")):
+        out[out.index(flag) + 1] = name
+    return " ".join(out)
+
+
+def _bench(root, argv):
+    out = subprocess.run([sys.executable] + argv, cwd=root,
+                         capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -68,9 +82,10 @@ def cmd_run(args):
         for i, seed in enumerate(_seeds(args.seeds)):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                result = _bench(roots[side], args.workload, seed, args.seconds)
+                argv = _argv(args.workload, seed)
+                result = _bench(roots[side], argv)
                 line = {"side": side, "workload": args.workload,
-                        "seed": seed, "result": result,
+                        "seed": seed, "argv": argv, "result": result,
                         "commit": _commit(roots[side]),
                         "src_lines": _src_lines(roots[side])}
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
@@ -99,12 +114,24 @@ def _metric(pairs, name):
 
 def cmd_write(args):
     runs = {}
-    meta = {}
+    trees = {side: set() for side in SIDES}
+    commands = set()
     with open(args.raw) as fh:
         for text in fh:
             line = json.loads(text)
             runs[line["workload"], line["seed"], line["side"]] = line["result"]
-            meta[line["side"]] = line
+            trees[line["side"]].add((line["commit"], line["src_lines"]))
+            commands.add(_template(line["argv"]))
+    for side in SIDES:
+        if len(trees[side]) != 1:
+            sys.exit("%s: the %s runs come from %d trees (commit, src lines): "
+                     "%s" % (args.raw, side, len(trees[side]),
+                             sorted(trees[side], key=str)))
+    if len(commands) != 1:
+        sys.exit("%s: the runs were sent with %d commands: %s"
+                 % (args.raw, len(commands), sorted(commands)))
+    (command,) = commands
+    tree = {side: min(trees[side]) for side in SIDES}
     workloads = {}
     for workload in sorted({w for w, _, _ in runs}):
         seeds = sorted(s for w, s, side in runs
@@ -124,16 +151,15 @@ def cmd_write(args):
         workloads[workload] = entry
     report = {
         "title": args.title,
-        "commits": {side: meta[side]["commit"] for side in SIDES},
-        "command": "python3 perfbench/run.py --workload W --seed S "
-                   "--seconds 10 --trace 0",
+        "commits": {side: tree[side][0] for side in SIDES},
+        "command": "python3 " + command,
         "method": "pairs of runs of the parent and the change from clean "
                   "checkouts on one host, alternating which side runs "
                   "first; medians and quartiles over the pairs; timings in "
                   "reference seconds (perfbench/speed.py)",
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
-        "src.lines": {side: meta[side]["src_lines"] for side in SIDES},
+        "src.lines": {side: tree[side][1] for side in SIDES},
         "workloads": workloads,
     }
     with open(args.out, "w") as fh:
@@ -148,7 +174,6 @@ def main(argv=None):
     r.add_argument("--change", required=True)
     r.add_argument("--workload", required=True)
     r.add_argument("--seeds", required=True, help="N or LO-HI")
-    r.add_argument("--seconds", type=float, default=10.0)
     r.add_argument("--raw", required=True)
     r.set_defaults(func=cmd_run)
     w = sub.add_parser("write")
