@@ -1,8 +1,10 @@
 """Per-process caches of the builders, and keeping what they hold out of
 the cyclic garbage collector's way.
 
-Chamber complexes, admissible polytopes, strata censuses and weight
-chambers are built once per process and kept (`cached`).  With the n = 6
+Chamber complexes, admissible polytopes, strata censuses, weight chambers
+and the `chambers --list` listings are built once per process and kept
+(`cached`); a listing also keeps its JSON text once a report has rendered
+it, so a warm listing request writes stored text.  With the n = 6
 complex built, a process holds some 65 000 container objects, and every full
 collection walks all of them: 25-50 ms, charged to whichever request happens
 to trigger it.  After a request that built something, `settle` collects the

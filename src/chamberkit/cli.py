@@ -63,8 +63,13 @@ def _point_cell(text, n=None, interior_only=False):
     point = _parse_vec(text)
     if n is None:
         n = len(point)
+        if not 4 <= n <= hs.MAX_CHAMBER_N:
+            raise _CliError("--point has %d coordinates; a point of D(n) has "
+                            "n coordinates, 4 <= n <= %d"
+                            % (n, hs.MAX_CHAMBER_N))
     elif n != len(point):
-        raise _CliError("--n disagrees with the point length")
+        raise _CliError("--n %d disagrees with the point length %d"
+                        % (n, len(point)))
     cc = hs.chamber_complex(n, interior_only=interior_only)
     try:
         return point, cc, cc.locate(point)
@@ -134,10 +139,17 @@ def _json_key(key):
 def _json_text(obj, indent):
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, its
     closing bracket at indent.  A module-level recursion, so that no
-    reference cycle is left behind per rendered report."""
+    reference cycle is left behind per rendered report.  A `_Listing` is
+    written from the text it stores for that indent, rendered here the first
+    time."""
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)
+    if type(obj) is _Listing:
+        text = obj.texts.get(indent)
+        if text is None:
+            text = obj.texts[indent] = _json_text(list(obj), indent)
+        return text
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -193,12 +205,23 @@ def _chamber_json(cc, ch):
     }
 
 
+class _Listing(list):
+    """Report entries that never change, with their JSON text per indent
+    (`texts`), which `_json_text` fills the first time it writes them."""
+    __slots__ = ("texts",)
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.texts = {}
+
+
 @cache.cached
 def _listing(n, interior_only):
-    """The --list entries of a complex, built once per process.  Reports
-    share the list and only read it."""
+    """The --list entries of a complex, built once per process, and their
+    JSON text, rendered once per process for each depth a report puts them
+    at.  Reports share the list and only read it."""
     cc = hs.chamber_complex(n, interior_only=interior_only)
-    return [_chamber_json(cc, ch) for ch in cc.chambers]
+    return _Listing(_chamber_json(cc, ch) for ch in cc.chambers)
 
 
 def _dim_counts(cc):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamberkit import cache
+from chamberkit import cli
 from chamberkit import weights as wt
 from chamberkit.cli import _build_parser, _render, _report, main, run
 from chamberkit.hypersimplex import enumerate_admissible
@@ -86,10 +87,57 @@ def test_divisors_heavy_light_wonderful_certificate(n):
      "5f1f8012da34f9cd63e29fc5b5a55fb9a3c70bee0248be438b6e7ffd08bd7096"),
 ])
 def test_chamber_listing_reports_pinned(argv, digest):
-    # sha256 of the report text before the bit-parallel finish of the build
-    text, code = run(argv.split())
-    assert code == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # sha256 of the report text before the bit-parallel finish of the build;
+    # the first request builds and renders the listing, the second reuses
+    # its stored text
+    cli._listing.cache_clear()
+    for _ in range(2):
+        text, code = run(argv.split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_warm_listing_is_rendered_once(monkeypatch):
+    # a warm --list request writes the stored text of the listing: the
+    # renderer's calls do not grow with its 53 (n = 4) or 671 (n = 5) entries
+    real = cli._json_text
+    calls = []
+
+    def counting(obj, indent):
+        calls.append(obj)
+        return real(obj, indent)
+
+    counts = []
+    for n in ("4", "5"):
+        argv = ["chambers", "--n", n, "--list"]
+        text = run(argv)
+        monkeypatch.setattr(cli, "_json_text", counting)
+        del calls[:]
+        assert run(argv) == text
+        monkeypatch.setattr(cli, "_json_text", real)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 20
+
+
+def test_listing_text_at_other_depths(tmp_path):
+    listing = cli._listing(5, False)
+    plain = list(listing)
+    for tree, copy in ((listing, plain),
+                       ({"a": [{"b": listing}]}, {"a": [{"b": plain}]}),
+                       ([listing, {"c": listing}], [plain, {"c": plain}])):
+        for _ in range(2):
+            assert _render(tree, "json") == _oracle(tree) == _oracle(copy)
+            assert _render(tree, "table") == _render(copy, "table")
+    # --format table lists the rows of the plain entries, and --out writes
+    # the JSON report
+    argv = ["chambers", "--n", "5", "--list"]
+    args = _build_parser().parse_args(argv)
+    report = _report(args.command, *args.func(args))
+    report["results"]["chambers"] = plain
+    path = tmp_path / "report.json"
+    assert run(["--format", "table", "--out", str(path)] + argv) == \
+        (_render(report, "table"), 0)
+    assert path.read_text() == _oracle(report)
 
 
 @pytest.mark.parametrize("n,digest", [
@@ -589,6 +637,18 @@ def test_chamber_guard_n7(capsys):
     _one_error(capsys)
     assert main(["omega", "--point", ",".join(["2/7"] * 7)]) == 1
     _one_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["xi", "omega"])
+def test_point_length_errors_name_the_point(command, capsys):
+    for k in (3, 7):
+        assert main([command, "--point", ",".join(["2/%d" % k] * k)]) == 1
+        assert _one_error(capsys) == (
+            "--point has %d coordinates; a point of D(n) has n coordinates, "
+            "4 <= n <= 6" % k)
+    if command == "xi":
+        assert main(["xi", "--n", "5", "--point", "1/2,1/2,1/2,1/2"]) == 1
+        assert _one_error(capsys) == "--n 5 disagrees with the point length 4"
 
 
 def test_parse_vector_rejects_empty_fields(capsys):

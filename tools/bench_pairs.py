@@ -14,9 +14,10 @@ length applies to both sides.
 `write` reads the raw file and writes, per workload, the per-pair values,
 per-side medians and quartiles and the number of pairs the change won for
 each end-to-end metric, with the commits, the `src/` line counts, the
-command, the Python version and nproc. It refuses a raw file whose runs of
-one side come from more than one tree, or that were sent with different
-commands.
+command, the Python version and nproc (the CPUs this process may run on, as
+run.py reads it). Seeds run on one side only are listed per workload under
+`unpaired` and named on stderr. It refuses a raw file whose runs of one side
+come from more than one tree, or that were sent with different commands.
 """
 
 import argparse
@@ -134,20 +135,26 @@ def cmd_write(args):
     tree = {side: min(trees[side]) for side in SIDES}
     workloads = {}
     for workload in sorted({w for w, _, _ in runs}):
-        seeds = sorted(s for w, s, side in runs
-                       if w == workload and side == "parent"
-                       and (w, s, "change") in runs)
+        sides = {side: {s for w, s, r in runs if w == workload and r == side}
+                 for side in SIDES}
+        seeds = sorted(sides["parent"] & sides["change"])
+        unpaired = {side: sorted(sides[side] - set(seeds)) for side in SIDES}
+        for side in SIDES:
+            if unpaired[side]:
+                print("%s: %s seeds %s ran on the %s side only; left out"
+                      % (args.raw, workload, unpaired[side], side),
+                      file=sys.stderr)
         pairs = [(s, runs[workload, s, "parent"], runs[workload, s, "change"])
                  for s in seeds]
-        entry = {"pairs": len(pairs), "seeds": seeds,
+        entry = {"pairs": len(pairs), "seeds": seeds, "unpaired": unpaired,
                  "failed": {side: sum(p[i]["failed"] for p in pairs)
                             for i, side in enumerate(SIDES, 1)},
                  "attempted": {side: sum(p[i]["attempted"] for p in pairs)
                                for i, side in enumerate(SIDES, 1)},
                  "all_correct": all(p[i]["correct"] for p in pairs
                                     for i in (1, 2))}
-        for name in METRICS:
-            entry[name] = _metric(pairs, name)
+        if pairs:
+            entry.update((name, _metric(pairs, name)) for name in METRICS)
         workloads[workload] = entry
     report = {
         "title": args.title,
@@ -158,7 +165,7 @@ def cmd_write(args):
                   "first; medians and quartiles over the pairs; timings in "
                   "reference seconds (perfbench/speed.py)",
         "python": platform.python_version(),
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "src.lines": {side: tree[side][1] for side in SIDES},
         "workloads": workloads,
     }
