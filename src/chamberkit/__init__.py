@@ -1,9 +1,10 @@
 """Exact chamber geometry for weighted point configurations.
 
-Subpackages cover exact rational linear programming, the chamber complex of
-the second hypersimplex, stability of weighted configurations and the weight
+Modules cover the chamber complex of the second hypersimplex and its
+admissible polytopes, stability of weighted configurations and the weight
 domain, boundary strata censuses for the standard compactified moduli of
-pointed rational curves, and strata-driven power series inversion.
+pointed rational curves, strata-driven power series inversion, and beneath
+them exact rationals with integer row reduction and an exact rational LP.
 """
 
 __version__ = "0.1.0"

@@ -1,10 +1,9 @@
-"""Exact rational linear geometry.
+"""Exact constraint systems and simplex feasibility.
 
-Linear constraints and H-polytopes over Fraction coordinates, plus a small
+Linear constraints and H-polytopes over Fraction coordinates, a small
 two-phase simplex for feasibility with mixed strict and non-strict
-constraints, affine dimension, and relative interior points.  Ranks come
-from one fraction-free echelon step (_eliminate), which the integer
-searches of hypersimplex and weights share.
+constraints, affine dimension, and relative interior points.  The rank
+behind affine_dimension is ratutil's exact row reduction.
 
 The simplex keeps the reduced costs as the last row of its tableau, so one
 loop (_simplex, Bland's rule) runs both phases.  It solves one LP shape, the
@@ -19,6 +18,8 @@ tolerance parameter exists anywhere in here.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+from .ratutil import _rank
 
 EQ = "eq"
 LE = "le"
@@ -250,33 +251,6 @@ def lp_feasible(constraints):
     value, x = _max_gap([c for c in constraints if c.rel != LT],
                         [c for c in constraints if c.rel == LT], n)
     return x if value is not None and value > 0 else None
-
-
-def _eliminate(row, rhs, ech, pivs):
-    """One fraction-free echelon step: reduce (row, rhs) against the rows
-    (coeffs, rhs) of ech, whose pivot columns are pivs.  Returns the reduced
-    row, its right-hand side and its pivot, -1 when the row is dependent."""
-    for (eco, erh), p in zip(ech, pivs):
-        f = row[p]
-        if f:
-            ep = eco[p]
-            row = [a * ep - f * b for a, b in zip(row, eco)]
-            rhs = rhs * ep - f * erh
-    return row, rhs, next((j for j, c in enumerate(row) if c), -1)
-
-
-def _rank(rows, cap):
-    """Rank of the rows, counted up to cap."""
-    ech = []
-    pivs = []
-    for row in rows:
-        row, _, piv = _eliminate(row, 0, ech, pivs)
-        if piv >= 0:
-            ech.append((row, 0))
-            pivs.append(piv)
-            if len(ech) == cap:
-                break
-    return len(ech)
 
 
 def _slack_pass(p):

@@ -42,9 +42,8 @@ from math import gcd, lcm
 from operator import mul
 
 from .cache import cached
-from .exactgeom import (EQ, LE, LT, HPolytope, LinConstraint, _eliminate,
-                        _rank, lp_feasible)
-from .ratutil import scaled
+from .exactgeom import EQ, LT, LinConstraint, lp_feasible
+from .ratutil import _eliminate, _rank, scaled
 
 MAX_N = 8
 MAX_CHAMBER_N = 6
@@ -76,10 +75,6 @@ class Hyperplane:
 class Arrangement:
     n: int
     hyperplanes: tuple
-
-    @property
-    def size(self):
-        return len(self.hyperplanes)
 
     def signs_at(self, point):
         """The sign string ("0", "+" or "-" per wall) of a point, in integer
@@ -203,12 +198,6 @@ def _box(n, rel):
         cons.append(LinConstraint(e, rel, 1))
         cons.append(LinConstraint([-v for v in e], rel, 0))
     return cons
-
-
-def hypersimplex_polytope(n):
-    """D(n) as an H-polytope in the ambient coordinates."""
-    _check_n(n)
-    return HPolytope(n, tuple(_box(n, LE)))
 
 
 @dataclass(frozen=True)
@@ -636,11 +625,6 @@ def chamber_complex(n, interior_only=False):
     return ChamberComplex(n, interior_only=interior_only)
 
 
-def enumerate_chambers(n, interior_only=False):
-    """Every cell of the decomposition of D(n), in a stable canonical order."""
-    return list(chamber_complex(n, interior_only).chambers)
-
-
 # ---------------------------------------------------------------------------
 # Admissible polytopes and membership of chambers in their interiors.
 
@@ -714,15 +698,3 @@ def omega_set(chamber):
         p.id for p in _admissible(chamber.n)[0]
         if p.kind == "FULL" or (p.kind == "SECTION" and p.subsets[0] in on)
         or (p.kind == "CUTS" and below.issuperset(p.subsets))))
-
-
-# ---------------------------------------------------------------------------
-# Coordinate permutations (used by the property suite).
-
-
-def permute_point(perm, point):
-    """Push a point forward along a coordinate permutation i -> perm[i]."""
-    out = [None] * len(point)
-    for i, x in enumerate(point):
-        out[perm[i]] = x
-    return tuple(out)

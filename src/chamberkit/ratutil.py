@@ -1,5 +1,8 @@
-"""Parsing and formatting of exact rationals as "p/q" strings, and rational
-vectors over one common denominator."""
+"""Parsing and formatting of exact rationals as "p/q" strings, rational
+vectors over one common denominator, and exact row reduction of integer
+rows: one fraction-free echelon step (_eliminate), which the rank of a row
+list (_rank), its independent rows (_independent) and the integer searches
+of hypersimplex and weights share."""
 
 import re
 from fractions import Fraction
@@ -32,6 +35,41 @@ def scaled(vec):
     vec = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in vec]
     d = lcm(*(x.denominator for x in vec))
     return d, tuple(x.numerator * (d // x.denominator) for x in vec)
+
+
+def _eliminate(row, rhs, ech, pivs):
+    """One fraction-free echelon step: reduce (row, rhs) against the rows
+    (coeffs, rhs) of ech, whose pivot columns are pivs.  Returns the reduced
+    row, its right-hand side and its pivot, -1 when the row is dependent."""
+    for (eco, erh), p in zip(ech, pivs):
+        f = row[p]
+        if f:
+            ep = eco[p]
+            row = [a * ep - f * b for a, b in zip(row, eco)]
+            rhs = rhs * ep - f * erh
+    return row, rhs, next((j for j, c in enumerate(row) if c), -1)
+
+
+def _independent(rows, cap=None):
+    """Indices of the rows that are independent of the rows before them,
+    found up to cap of them: a basis of the span, earliest rows first."""
+    ech = []
+    pivs = []
+    kept = []
+    for i, row in enumerate(rows):
+        row, _, piv = _eliminate(row, 0, ech, pivs)
+        if piv >= 0:
+            ech.append((row, 0))
+            pivs.append(piv)
+            kept.append(i)
+            if len(kept) == cap:
+                break
+    return kept
+
+
+def _rank(rows, cap):
+    """Rank of the rows, counted up to cap."""
+    return len(_independent(rows, cap))
 
 
 def parse_int(s: str) -> int:

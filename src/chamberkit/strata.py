@@ -267,18 +267,6 @@ def chi_mbar(n):
     return total
 
 
-def relabel_tree(perm, tree):
-    """Push a permutation of {1..n} (0-indexed tuple) through a stable tree."""
-    n = tree.n
-    out = []
-    for s in tree.splits:
-        moved = {perm[i - 1] + 1 for i in s}
-        if 1 in moved:
-            moved = set(range(1, n + 1)) - moved
-        out.append(tuple(sorted(moved)))
-    return StableTree(n, tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # reduction divisors between two weight levels
 
@@ -434,17 +422,6 @@ def lm_census(n):
     3..n split into screens in order, each screen into clusters."""
     _check_range(n, 4, MAX_CENSUS_N)
     return LMCensus(n, *tally(_ordered(n - 2, _screen)))
-
-
-def permute_lm_chain(perm, chain):
-    """Relabel light markings; perm maps offsets 0..n-3 (markings 3..n)."""
-    n = chain.n
-    move = {i + 3: perm[i] + 3 for i in range(n - 2)}
-    blocks = tuple(tuple(sorted(move[x] for x in b)) for b in chain.blocks)
-    clusters = tuple(tuple(sorted((tuple(sorted(move[x] for x in cl))
-                                   for cl in cls), key=lambda t: t[0]))
-                     for cls in chain.clusters)
-    return LMChain(n, blocks, clusters)
 
 
 # ---------------------------------------------------------------------------

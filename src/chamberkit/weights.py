@@ -18,10 +18,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .cache import cached
-from .exactgeom import _eliminate
 from .hypersimplex import (CellEngine, _chamber_wall_data, _solutions,
                            generic_point, weight_walls)
-from .ratutil import parse_int, scaled
+from .ratutil import _independent, parse_int, scaled
 
 STABLE = "STABLE"
 STRICTLY_SEMISTABLE = "STRICTLY_SEMISTABLE"
@@ -268,39 +267,8 @@ def _grow_profile(w, d, free, block, s, start, done, text, out):
                           s + w[p], k, done, "%s,%d" % (text, p), out)
 
 
-def delete_coordinate(L, q):
-    """Forget the q-th point (1-based) and renormalize back to total 2."""
-    if not isinstance(L, Linearisation):
-        L = Linearisation(L)
-    if not 1 <= q <= L.n:
-        raise ValueError("coordinate out of range")
-    rest = [t for i, t in enumerate(L.entries) if i != q - 1]
-    total = sum(rest)
-    return Linearisation([2 * t / total for t in rest])
-
-
-def rescale_to_carrier(A):
-    """b_i = 2 a_i / sum(a); accepts any positive vector with sum >= 2."""
-    if isinstance(A, WeightVector):
-        vals = A.entries
-    elif isinstance(A, Linearisation):
-        vals = A.entries
-    else:
-        vals = _to_fractions(A, "weight vector")
-    total = sum(vals)
-    if total < 2:
-        raise ValueError("total weight below 2 cannot be rescaled to the carrier")
-    return Linearisation([2 * a / total for a in vals])
-
-
 # ---------------------------------------------------------------------------
 # The weight-domain wall arrangement.
-
-
-@cached
-def coarse_walls(n):
-    """The strict window 2 < |S| < n-2; empty for n = 5 as literally stated."""
-    return tuple(s for s in weight_walls(n) if 2 < len(s) < n - 2)
 
 
 def weight_signs(n, point):
@@ -420,15 +388,7 @@ def _local_cone(vectors):
     Las Vergnas, Sturmfels, White and Ziegler, Oriented Matroids, 3.7), so
     lines are kept in each orientation that is not - on the first vector.
     """
-    ech = []
-    pivs = []
-    cols = []  # a column basis, from one echelon pass
-    for i, column in enumerate(zip(*vectors)):
-        column, _, piv = _eliminate(column, 0, ech, pivs)
-        if piv >= 0:
-            ech.append((column, 0))
-            pivs.append(piv)
-            cols.append(i)
+    cols = _independent(zip(*vectors))  # a column basis
     r = len(cols)
     rows = [tuple(v[i] for i in cols) for v in vectors]
     lines = set()  # the chart points' covectors, every cocircuit among them
@@ -508,14 +468,3 @@ def facet_cover_count(chamber, k):
     if k != len(pairs):
         raise ValueError("chamber lies on %d walls, not %d" % (len(pairs), k))
     return covers
-
-
-def permute_weight_signs(n, perm, signs):
-    """Push a weight-wall sign string forward along a coordinate permutation."""
-    walls = weight_walls(n)
-    index = {w: i for i, w in enumerate(walls)}
-    out = [None] * len(walls)
-    for i, s in enumerate(walls):
-        img = tuple(sorted(perm[j] for j in s))
-        out[index[img]] = signs[i]
-    return "".join(out)

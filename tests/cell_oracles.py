@@ -8,6 +8,8 @@ of the zero walls in the carrier chart (_reduced_rows) per cell, and the
 face edges collected during the closure.
 chamber_wall_data_per_wall translates a carrier chamber's signs to the
 weight walls one wall at a time, through canonical_subset.
+omega_from_wall_signs reads a cell's omega set off its weight-wall signs
+alone, with no LP and no list of admissible polytopes.
 
 lm_chain_tally walks the listed chain strata one by one, and
 composition_faces the compositions of the permutohedron's ground set with
@@ -36,8 +38,11 @@ from itertools import combinations, product
 from math import comb, factorial, lcm
 
 from chamberkit.exactgeom import EQ, LT
-from chamberkit.hypersimplex import (_rank, build_arrangement, canonical_subset,
-                                     generic_point, weight_walls)
+from chamberkit.hypersimplex import (AdmissiblePolytope, _chamber_wall_data,
+                                     _families, build_arrangement,
+                                     canonical_subset, generic_point,
+                                     weight_walls)
+from chamberkit.ratutil import _rank
 from chamberkit.series import ExpSeries
 from chamberkit.strata import chi_stratum, lm_strata
 from chamberkit.weights import CoincidencePartition
@@ -227,6 +232,35 @@ def chamber_wall_data_per_wall(chamber):
         else:
             fixed[idx] = ("+" if sign == "-" else "-") if flip else sign
     return walls, fixed, pairs
+
+
+def omega_from_wall_signs(chamber):
+    """omega_set(chamber) from the cell's weight-wall signs: () on the
+    boundary of D(n); on an interior cell FULL, SECTION{S} for each zero
+    pair (S, S^c), and CUTS{S_1..S_k} for every nonempty pairwise-disjoint
+    family of weight walls that the cell lies strictly below.
+
+    The cell's witness lies in the open box on the carrier and strictly
+    below each S_j, so it is a strict feasible point of each such family's
+    CUTS system: no LP is needed to admit the family.
+    """
+    if chamber.on_boundary:
+        return ()
+    n = chamber.n
+    walls, fixed, pairs = _chamber_wall_data(chamber)
+    ids = ["FULL"]
+    ids += [AdmissiblePolytope(n, "SECTION", (walls[i],), n - 2).id
+            for i, _ in pairs]
+    below = {sum(1 << i for i in walls[w]): walls[w]
+             for w in sorted(fixed) if fixed[w] == "-"}
+
+    def visit(fam):
+        if fam:
+            subsets = tuple(below[m] for m in fam)
+            ids.append(AdmissiblePolytope(n, "CUTS", subsets, n - 1).id)
+
+    _families(list(below), lambda a, b: not a & b, visit)
+    return tuple(sorted(ids))
 
 
 def chi_term(chain):

@@ -14,7 +14,7 @@ from itertools import combinations
 from chamberkit.cli import run as cli_run
 from chamberkit.hypersimplex import (AdmissiblePolytope, canonical_subset,
                                      chamber_complex, enumerate_admissible,
-                                     omega_set, permute_point)
+                                     omega_set)
 from chamberkit.series import (ExpSeries, PolySum, comp_inverse_direct,
                                comp_inverse_strata, differential,
                                euler_interior, mult_inverse_direct,
@@ -27,8 +27,10 @@ from chamberkit.strata import (EXTENSION, TORIC, _partitions_of,
 from chamberkit.weights import (STRICTLY_SEMISTABLE, TYPICAL,
                                 CoincidencePartition, Linearisation,
                                 WeightVector, classify_linearisation,
-                                facet_cover_count, permute_weight_signs,
-                                semistable_profile, stability, xi)
+                                facet_cover_count, semistable_profile,
+                                stability, xi)
+
+from helpers import permute_point, permute_weight_signs
 
 import json
 

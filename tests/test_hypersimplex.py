@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
@@ -9,14 +10,15 @@ from chamberkit import hypersimplex as hs
 from chamberkit.exactgeom import EQ, LinConstraint, eq, ge, gt, le, lp_feasible, lt
 from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
                                      build_arrangement, chamber_complex,
-                                     enumerate_admissible, enumerate_chambers,
-                                     generic_point, hypersimplex_polytope,
-                                     omega_set, permute_point,
-                                     rejected_cut_families)
+                                     enumerate_admissible, generic_point,
+                                     omega_set, rejected_cut_families,
+                                     weight_walls)
 from chamberkit.weights import _fine_planes, _fine_vertices
 from cell_oracles import (_reduced_rows, finish_per_wall,
                           independent_cell_census,
-                          interior_contains_fractions, signs_at_fractions)
+                          interior_contains_fractions,
+                          omega_from_wall_signs, signs_at_fractions)
+from helpers import hypersimplex_polytope, permute_point
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -73,9 +75,9 @@ def _enumerate_vertices_oracle(arrangement):
 
 
 def test_arrangement_counts():
-    assert build_arrangement(4).size == 11
-    assert build_arrangement(5).size == 20
-    assert build_arrangement(6).size == 37
+    assert len(build_arrangement(4).hyperplanes) == 11
+    assert len(build_arrangement(5).hyperplanes) == 20
+    assert len(build_arrangement(6).hyperplanes) == 37
 
 
 def test_arrangement_restriction_dedup():
@@ -127,7 +129,7 @@ def test_example_chamber():
 
 def test_census_matches_independent_oracle():
     for n in (4, 5):
-        cells = enumerate_chambers(n)
+        cells = chamber_complex(n).chambers
         reps = independent_cell_census(n)
         assert {c.signs for c in cells} == set(reps)
 
@@ -200,11 +202,11 @@ def test_generic_points_lie_on_no_wall(n):
 def test_cell_counts_frozen():
     # counts certified by the independent midpoint-saturation oracle
     by_dim = {}
-    for c in enumerate_chambers(4):
+    for c in chamber_complex(4).chambers:
         by_dim[c.dim] = by_dim.get(c.dim, 0) + 1
     assert by_dim == {0: 7, 1: 18, 2: 20, 3: 8}
     by_dim = {}
-    for c in enumerate_chambers(5):
+    for c in chamber_complex(5).chambers:
         by_dim[c.dim] = by_dim.get(c.dim, 0) + 1
     assert by_dim == {0: 20, 1: 110, 2: 240, 3: 225, 4: 76}
 
@@ -222,7 +224,7 @@ def test_counts_by_dim_match_tally(interior_only):
 
 def test_euler_characteristics():
     for n in (4, 5):
-        cells = enumerate_chambers(n)
+        cells = chamber_complex(n).chambers
         full = sum((-1) ** c.dim for c in cells)
         assert full == 1
         interior = sum((-1) ** c.dim for c in cells if not c.on_boundary)
@@ -236,7 +238,7 @@ def test_witness_realizes_signs():
 
 
 def test_dimension_dichotomy():
-    for ch in enumerate_chambers(5):
+    for ch in chamber_complex(5).chambers:
         assert 0 <= ch.dim <= 4
         if not ch.on_boundary:
             sums = [s for h, s in zip(build_arrangement(5).hyperplanes, ch.signs)
@@ -409,6 +411,41 @@ def test_admissible_n6_examples():
     # a pair plus its complement can never be strict on the carrier
     rej = {p.id for p in rejected_cut_families(6)}
     assert "CUTS{1,2}|{3,4,5,6}" in rej
+
+
+def _disjoint_families(n):
+    """Every nonempty pairwise-disjoint family of weight walls, each as a
+    tuple in weight_walls order, by brute force over k-subsets."""
+    walls = weight_walls(n)
+    return {fam for k in range(1, n // 2 + 1)
+            for fam in combinations(walls, k)
+            if len(set().union(*fam)) == sum(map(len, fam))}
+
+
+@pytest.mark.parametrize("n, split", [(4, (6, 3)), (5, (35, 10)),
+                                      (6, (170, 25))])
+def test_cuts_closed_form_matches_lp(n, split):
+    # the CUTS candidates are the nonempty pairwise-disjoint families of
+    # weight walls; S_1..S_k leave m = k + n - |S_1 u ... u S_k| distinct
+    # points, and the LP admits the family exactly when m >= 3
+    cuts = [p for p in enumerate_admissible(n) if p.kind == "CUTS"]
+    rejected = rejected_cut_families(n)
+    assert {p.subsets for p in cuts + rejected} == _disjoint_families(n)
+
+    def distinct_points(p):
+        return len(p.subsets) + n - len(set().union(*p.subsets))
+
+    assert all(distinct_points(p) >= 3 for p in cuts)
+    assert all(distinct_points(p) < 3 for p in rejected)
+    assert (len(cuts), len(rejected)) == split
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("interior_only", [False, True])
+def test_omega_matches_wall_sign_oracle(n, interior_only):
+    # every cell of D(4) and D(5): 53 + 671 closed, 27 + 461 interior
+    for ch in chamber_complex(n, interior_only).chambers:
+        assert omega_set(ch) == omega_from_wall_signs(ch)
 
 
 def test_omega_full_membership():

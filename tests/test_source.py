@@ -6,6 +6,9 @@ cell, so every call would leave a reference cycle for the collector;
 recursions are module-level functions instead.  No json.dump or json.dumps
 call takes an indent, which makes json leave its C encoder.  The README's
 table of enumeration guards quotes each cap as the constant in the code.
+A public top-level name that no module of the library uses is library API
+named in LIBRARY_API, so that a helper only the tests call lives under
+tests/, and only hypersimplex imports the exact LP module.
 """
 
 import ast
@@ -38,6 +41,19 @@ GUARDS = {
     "permutohedron faces `m`": (st.MAX_PERM_M,),
     "series order (direct / permutohedral / strata)":
         (se.MAX_ORDER, se.MAX_PERM_ORDER, se.MAX_ORDER),
+}
+
+
+# the public top-level names that no module of the library uses: the
+# constraint builders and polytope queries of exactgeom, and queries that
+# the CLI answers through other functions (stability_report, _xi_pass) or
+# not at all
+LIBRARY_API = {
+    "exactgeom": {"affine_dimension", "eq", "ge", "gt", "le", "lt",
+                  "relative_interior_point"},
+    "strata": {"degeneration_label"},
+    "weights": {"PAIR_OPTIONS", "facet_cover_count", "has_unit_subset",
+                "locate_weight", "stability"},
 }
 
 
@@ -158,3 +174,82 @@ def test_traced_names_resolve():
             missing.append((module, attribute))
     assert len(targets["TRACED"]) > 1
     assert missing == []
+
+
+def unused_public_names(modules):
+    """{module: names} of the public top-level functions, classes and
+    assigned names that no module of the given (name, tree) pairs loads,
+    reaches as an attribute or imports by name."""
+    defined = {}
+    used = set()
+    for name, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            for public in names:
+                if not public.startswith("_"):
+                    defined.setdefault(public, []).append(name[:-3])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    out = {}
+    for public, owners in defined.items():
+        if public not in used:
+            for owner in owners:
+                out.setdefault(owner, set()).add(public)
+    return out
+
+
+def test_scan_finds_an_unused_public_name():
+    tree = ast.parse("X = 1\n_Y = 2\n"
+                     "def used():\n    return X\n"
+                     "def unused():\n    return used()\n"
+                     "class Kept:\n    pass\n")
+    other = ast.parse("from .one import Kept\n")
+    assert unused_public_names([("one.py", tree), ("two.py", other)]) == {
+        "one": {"unused"}}
+
+
+def test_unused_public_names_are_library_api():
+    assert unused_public_names(list(_modules())) == LIBRARY_API
+
+
+def exactgeom_importers(modules):
+    """Names of the modules that import exactgeom, relatively or by its
+    full name."""
+    found = set()
+    for name, tree in modules:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                targets = [node.module or ""]
+                if node.level and not node.module:
+                    targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(t.split(".")[-1] == "exactgeom" for t in targets):
+                found.add(name[:-3])
+    return found
+
+
+def test_scan_finds_exactgeom_imports():
+    modules = [(name + ".py", ast.parse(text)) for name, text in (
+        ("a", "from .exactgeom import lp_feasible\n"),
+        ("b", "from . import exactgeom\n"),
+        ("c", "import chamberkit.exactgeom as eg\n"),
+        ("d", "from .ratutil import _rank\n"))]
+    assert exactgeom_importers(modules) == {"a", "b", "c"}
+
+
+def test_only_hypersimplex_imports_exactgeom():
+    assert exactgeom_importers(list(_modules())) == {"hypersimplex"}

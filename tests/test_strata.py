@@ -13,8 +13,7 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
                                degeneration_label, dm_strata,
                                dm_valence_census, label_is_consistent,
                                lm_census, lm_point_label_census_n5, lm_strata,
-                               permute_lm_chain, permutohedron_faces,
-                               reduction_divisors, relabel_tree,
+                               permutohedron_faces, reduction_divisors,
                                wonderful_building_set,
                                wonderful_divisor_census, _laminar_families,
                                _ordered_partitions, _screen)
@@ -22,6 +21,7 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
 from cell_oracles import (chi_term, composition_faces, fubini,
                           lm_chain_tally, pair_graph_closure, pair_set_leq,
                           stirling2)
+from helpers import permute_lm_chain, relabel_tree
 
 
 def test_dm_counts():

@@ -6,22 +6,23 @@ from itertools import combinations, product
 import pytest
 
 from chamberkit.exactgeom import eq, gt, le, lp_feasible, lt
-from chamberkit.hypersimplex import (Chamber, _chamber_wall_data, _rank,
+from chamberkit.hypersimplex import (Chamber, _chamber_wall_data,
                                      build_arrangement, chamber_complex)
+from chamberkit.ratutil import _rank
 from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
                                 STRICTLY_SEMISTABLE, TYPICAL, UNSTABLE,
                                 CoincidencePartition, FineChamber,
                                 Linearisation, WeightVector,
-                                classify_linearisation, coarse_walls,
-                                delete_coordinate, facet_cover_count,
+                                classify_linearisation, facet_cover_count,
                                 fine_chambers, has_unit_subset, locate_weight,
-                                parse_partition, permute_weight_signs,
-                                rescale_to_carrier, semistable_profile,
+                                parse_partition, semistable_profile,
                                 stability, stability_report, weight_signs,
                                 weight_walls, xi)
 
 from cell_oracles import (chamber_wall_data_per_wall,
                           semistable_profile_fractions)
+from helpers import (coarse_walls, delete_coordinate, permute_point,
+                     permute_weight_signs, rescale_to_carrier)
 
 EXAMPLE_L = (F(1, 2), F(2, 3), F(5, 18), F(5, 18), F(5, 18))
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
@@ -396,7 +397,6 @@ def test_xi_equivariance():
     cells = [c for c in cc.chambers if not c.on_boundary
              and _pair_count(c) == 1]
     for ch in rng.sample(cells, 3):
-        from chamberkit.hypersimplex import permute_point
         image = {permute_weight_signs(5, perm, s) for s in xi(ch)}
         moved = cc.locate(permute_point(perm, ch.witness))
         assert set(xi(moved)) == image
