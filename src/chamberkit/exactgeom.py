@@ -284,8 +284,7 @@ def affine_dimension(p: HPolytope) -> int:
     found = _slack_pass(p)
     if found is None:
         return -1
-    return p.ambient_dim - _rank([c.coeffs for c, value, _ in found[1] if value == 0],
-                                 p.ambient_dim)
+    return p.ambient_dim - _rank([c.coeffs for c, value, _ in found[1] if value == 0])
 
 
 def relative_interior_point(p: HPolytope):

@@ -26,8 +26,8 @@ Each cell is finished with a few big-integer operations.  The engine keeps,
 for each 0-cell, a plane mask of the planes it lies on and one of the planes
 it lies above; a cell lies on the AND of the first over its 0-cells and
 above the OR of the second, and its sign string is read off the two masks.
-Every dimension is one routine, CellEngine.rank, the affine rank of a cell's
-0-cells: the search uses it on facets, and ChamberComplex on the first cell
+The search tells a facet by the first mask alone.  A dimension is
+CellEngine.rank, the affine rank of a cell's 0-cells, run on the first cell
 of each flat (the cells on one zero plane mask share their dimension).  The
 face adjacency of ChamberComplex is not kept by the build; it is recomputed
 from the cell masks when first read.
@@ -305,10 +305,11 @@ def _bit_indices(mask):
 class CellEngine:
     """Cells of a plane arrangement on a region, as bitmasks of 0-cells.
 
-    Takes the planes (normal, const) and the exact 0-cells of the region.  A
-    cell is identified by the bitmask of the 0-cells in its closure, so faces
-    are bitwise intersections.  zeros[h], pos[h] and neg[h] are the 0-cells
-    on, above and below plane h, all as integer numerators over den.
+    Takes the planes (normal, const), no two of which coincide on the
+    region, and the exact 0-cells of the region.  A cell is identified by
+    the bitmask of the 0-cells in its closure, so faces are bitwise
+    intersections.  zeros[h], pos[h] and neg[h] are the 0-cells on, above
+    and below plane h, all as integer numerators over den.
 
     on[v] and above[v] are the planes 0-cell v lies on and strictly above,
     as plane masks: one byte per plane, plane 0 in the most significant
@@ -381,15 +382,18 @@ class CellEngine:
                 break
         return m
 
-    def rank(self, mask, cap):
-        """Affine rank of the 0-cells in mask, counted up to cap."""
+    def rank(self, mask):
+        """Affine rank of the 0-cells in mask: the dimension of the cell."""
         pts = (self.vnums[i] for i in _bit_indices(mask))
         base = next(pts, None)
-        return _rank(([a - b for a, b in zip(v, base)] for v in pts), cap)
+        return _rank([a - b for a, b in zip(v, base)] for v in pts)
 
-    def top_cells(self, seed_sigbits, flippable, dim):
-        """All dim-dimensional cells, sigbits -> mask, reached from the seed
-        cell by flipping across shared facets on the flippable planes."""
+    def top_cells(self, seed_sigbits, flippable):
+        """All full-dimensional cells, sigbits -> mask, reached from the
+        seed cell by flipping across shared facets on the flippable planes.
+        A cell's wall on plane h is a facet exactly when h is the only plane
+        its 0-cells all lie on: a lower face lies in two facets, whose
+        planes differ."""
         start = self.mask_for(seed_sigbits)
         if not start:
             raise RuntimeError("seed cell has no supporting 0-cells")
@@ -404,7 +408,8 @@ class CellEngine:
                 if not wall:
                     continue
                 other = sig ^ (1 << hi)
-                if other in tops or self.rank(wall, dim - 1) != dim - 1:
+                if other in tops or (self.zero_plus(wall)[0]
+                                     != self.plane_mask([hi])):
                     continue
                 tops[other] = self.mask_for(other)
                 queue.append(other)
@@ -511,7 +516,7 @@ class ChamberComplex:
         self._box = cells.plane_mask(i for i, h in enumerate(arr.hyperplanes)
                                      if h.kind != "sum")
         seed = cells.sigbits(generic_point(self.n, 1))
-        top = cells.top_cells(seed, sum_idx, self.n - 1)
+        top = cells.top_cells(seed, sum_idx)
         self._finalize(self._close_faces(top))
 
     def _close_faces(self, tops):
@@ -548,7 +553,7 @@ class ChamberComplex:
                 continue
             dim = flat_dim.get(z)
             if dim is None:
-                dim = flat_dim[z] = cells.rank(mask, n - 1)
+                dim = flat_dim[z] = cells.rank(mask)
             records.append((dim, cells.signs(z, p), cells.witness(mask),
                             boundary, mask))
         records.sort(key=lambda r: (r[0], r[1]))

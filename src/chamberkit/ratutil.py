@@ -50,9 +50,9 @@ def _eliminate(row, rhs, ech, pivs):
     return row, rhs, next((j for j, c in enumerate(row) if c), -1)
 
 
-def _independent(rows, cap=None):
-    """Indices of the rows that are independent of the rows before them,
-    found up to cap of them: a basis of the span, earliest rows first."""
+def _independent(rows):
+    """Indices of the rows that are independent of the rows before them: a
+    basis of the span, earliest rows first."""
     ech = []
     pivs = []
     kept = []
@@ -62,14 +62,12 @@ def _independent(rows, cap=None):
             ech.append((row, 0))
             pivs.append(piv)
             kept.append(i)
-            if len(kept) == cap:
-                break
     return kept
 
 
-def _rank(rows, cap):
-    """Rank of the rows, counted up to cap."""
-    return len(_independent(rows, cap))
+def _rank(rows):
+    """Rank of the rows."""
+    return len(_independent(rows))
 
 
 def parse_int(s: str) -> int:

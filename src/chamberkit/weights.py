@@ -210,12 +210,6 @@ def _unit_subset(t, d, sizes):
     return None
 
 
-def has_unit_subset(entries):
-    """True when some nonempty proper subset of the entries sums to 1."""
-    d, t = scaled(entries)
-    return _unit_subset(t, d, range(1, len(t) // 2 + 1)) is not None
-
-
 def semistable_profile(L):
     """All coincidence partitions with every block sum <= 1, sorted by blocks.
 
@@ -343,7 +337,7 @@ def fine_chambers(n):
     nw = len(walls)
     items = []
     seed = cells.sigbits(generic_point(n, 3))
-    for sig, mask in cells.top_cells(seed, range(nw), n).items():
+    for sig, mask in cells.top_cells(seed, range(nw)).items():
         signs = "".join("+" if (sig >> i) & 1 else "-" for i in range(nw))
         items.append((signs, cells.witness(mask)))
     return tuple(FineChamber(n, signs, witness, idx)
@@ -370,9 +364,6 @@ def locate_weight(A):
 
 # ---------------------------------------------------------------------------
 # The xi correspondence and facet covers.
-
-
-PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))
 
 
 def _local_cone(vectors):
@@ -428,7 +419,8 @@ def _xi_pass(chamber):
     the box constraints and the walls where c is strict keep their signs; a
     wall S through c reads sign(1_S . d), since 1_S . w = 1.  So the cells
     are the covectors + on 1 of the local cone {1, 1_S, 1_{S^c}}, each pair
-    of walls through c taking one of the five PAIR_OPTIONS.
+    of walls through c taking one of the five sign pairs (0,+), (+,0),
+    (+,+), (+,-) and (-,+).
 
     A facet cover, a cell of dimension dim(c)+1 with c as a facet, keeps
     exactly one wall of each pair at zero (keeping both forces the carrier;

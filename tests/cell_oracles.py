@@ -17,8 +17,9 @@ their multinomial weights; fubini and stirling2 are the closed recurrence
 and formula for ordered and unordered set partitions.
 
 The point tests in Fraction arithmetic: signs_at_fractions takes one
-Fraction dot product per wall, interior_contains_fractions tests the open
-box, the carrier sum and the polytope's walls one Fraction sum at a time,
+Fraction dot product per wall, interior_ids_fractions tests the open box
+and the carrier sum once per point and sums each of the polytopes' walls
+once (interior_contains_fractions for one polytope),
 and semistable_profile_fractions walks restricted-growth strings with
 Fraction block sums, builds each partition through the checking
 constructor and sorts them.
@@ -172,7 +173,7 @@ def finish_per_wall(cc):
         return tuple(sum(col) / len(pts) for col in zip(*pts))
 
     sum_idx = [hi for hi, h in enumerate(planes) if h.kind == "sum"]
-    tops = cells.top_cells(cells.sigbits(generic_point(n, 1)), sum_idx, n - 1)
+    tops = cells.top_cells(cells.sigbits(generic_point(n, 1)), sum_idx)
     seen = set(tops.values())
     stack = list(seen)
     edges = set()
@@ -196,7 +197,7 @@ def finish_per_wall(cc):
         if cc.interior_only and boundary:
             continue
         signs = signs_of(mask)
-        rank = _rank((rows[hi][0] for hi, s in enumerate(signs) if s == "0"), n - 1)
+        rank = _rank(rows[hi][0] for hi, s in enumerate(signs) if s == "0")
         dims[mask] = n - 1 - rank
         records.append((dims[mask], signs, witness(mask), boundary, mask))
     records.sort(key=lambda r: (r[0], r[1]))
@@ -343,17 +344,37 @@ def signs_at_fractions(arrangement, point):
     return "".join("0+-"[value_sign(h, point)] for h in arrangement.hyperplanes)
 
 
-def interior_contains_fractions(poly, point):
+def interior_ids_fractions(polys, point):
+    """Ids of the polytopes whose relative interior holds the point: the
+    carrier sum and the open box are tested once, and each wall is summed
+    once for every polytope it bounds."""
     point = tuple(Fraction(x) for x in point)
     if sum(point) != 2:
-        return False
+        return []
     if any(x <= 0 or x >= 1 for x in point):
-        return False
-    if poly.kind == "FULL":
-        return True
-    if poly.kind == "SECTION":
-        return sum(point[i] for i in poly.subsets[0]) == 1
-    return all(sum(point[i] for i in s) < 1 for s in poly.subsets)
+        return []
+    sums = {}
+
+    def wall(s):
+        if s not in sums:
+            sums[s] = sum(point[i] for i in s)
+        return sums[s]
+
+    out = []
+    for poly in polys:
+        if poly.kind == "FULL":
+            inside = True
+        elif poly.kind == "SECTION":
+            inside = wall(poly.subsets[0]) == 1
+        else:
+            inside = all(wall(s) < 1 for s in poly.subsets)
+        if inside:
+            out.append(poly.id)
+    return out
+
+
+def interior_contains_fractions(poly, point):
+    return bool(interior_ids_fractions([poly], point))
 
 
 def _truncated_product(a, b, n_max):

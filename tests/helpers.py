@@ -6,12 +6,19 @@ string, a stable tree and a chain stratum, for the equivariance checks.
 delete_coordinate and rescale_to_carrier move a weight vector onto the
 carrier sum 2, coarse_walls is the strict window of subset walls, and
 hypersimplex_polytope is D(n) as an H-polytope for the exact LP.
+has_unit_subset asks whether some subset of a weight vector sums to 1, and
+PAIR_OPTIONS are the five sign pairs a pair of walls through a carrier cell
+can take in a weight-domain cell whose closure holds it.
 """
 
 from chamberkit.exactgeom import LE, HPolytope
 from chamberkit.hypersimplex import _box, _check_n, weight_walls
+from chamberkit.ratutil import scaled
 from chamberkit.strata import LMChain, StableTree
-from chamberkit.weights import Linearisation, WeightVector, _to_fractions
+from chamberkit.weights import (Linearisation, WeightVector, _to_fractions,
+                                _unit_subset)
+
+PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))
 
 
 def permute_point(perm, point):
@@ -88,3 +95,9 @@ def hypersimplex_polytope(n):
     """D(n) as an H-polytope in the ambient coordinates."""
     _check_n(n)
     return HPolytope(n, tuple(_box(n, LE)))
+
+
+def has_unit_subset(entries):
+    """True when some nonempty proper subset of the entries sums to 1."""
+    d, t = scaled(entries)
+    return _unit_subset(t, d, range(1, len(t) // 2 + 1)) is not None

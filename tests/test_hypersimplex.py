@@ -16,7 +16,7 @@ from chamberkit.hypersimplex import (ChamberComplex, _enumerate_vertices,
 from chamberkit.weights import _fine_planes, _fine_vertices
 from cell_oracles import (_reduced_rows, finish_per_wall,
                           independent_cell_census,
-                          interior_contains_fractions,
+                          interior_contains_fractions, interior_ids_fractions,
                           omega_from_wall_signs, signs_at_fractions)
 from helpers import hypersimplex_polytope, permute_point
 
@@ -160,7 +160,46 @@ def test_vertex_rank_matches_wall_dimension():
     for n in (4, 5):
         cc = chamber_complex(n)
         for ch in cc.chambers:
-            assert cc._cells.rank(cc._mask_of[ch.signs], n) == ch.dim
+            assert cc._cells.rank(cc._mask_of[ch.signs]) == ch.dim
+
+
+def _facet_rule_census(cells, seed, flippable, dim):
+    """(top cells, facet walls, lower walls) of the engine's search, after
+    checking on every nonempty flippable wall of every top cell that the
+    plane-mask rule agrees with the affine rank of the wall's 0-cells."""
+    tops = cells.top_cells(seed, flippable)
+    facets = lower = 0
+    for mask in tops.values():
+        for hi in flippable:
+            wall = mask & cells.zeros[hi]
+            if not wall:
+                continue
+            by_mask = cells.zero_plus(wall)[0] == cells.plane_mask([hi])
+            assert by_mask == (cells.rank(wall) == dim - 1)
+            facets += by_mask
+            lower += not by_mask
+    return len(tops), facets, lower
+
+
+def test_facet_rule_matches_wall_rank():
+    # a wall of a top cell is a facet exactly when its 0-cells lie on its
+    # plane alone: checked against the rank rule on D(4..6) and D(0,4..5)
+    found = {}
+    for n in (4, 5, 6):
+        cc = chamber_complex(n)
+        sum_idx = [i for i, h in enumerate(cc.arrangement.hyperplanes)
+                   if h.kind == "sum"]
+        found["D(%d)" % n] = _facet_rule_census(
+            cc._cells, cc._cells.sigbits(generic_point(n, 1)), sum_idx, n - 1)
+    for n in (4, 5):
+        planes = _fine_planes(n)
+        cells = hs.CellEngine(planes, _fine_vertices(planes, n))
+        found["D(0,%d)" % n] = _facet_rule_census(
+            cells, cells.sigbits(generic_point(n, 3)),
+            range(len(weight_walls(n))), n)
+    assert found == {"D(4)": (8, 24, 0), "D(5)": (76, 360, 360),
+                     "D(6)": (1678, 11280, 22940), "D(0,4)": (27, 108, 54),
+                     "D(0,5)": (1087, 7180, 11280)}
 
 
 @pytest.mark.parametrize("interior_only", [False, True])
@@ -319,8 +358,7 @@ def test_interior_contains_matches_fraction_oracle():
         polys = enumerate_admissible(n)
         for interior_only in (False, True):
             for ch in chamber_complex(n, interior_only).chambers[::step]:
-                inside = [p.id for p in polys
-                          if interior_contains_fractions(p, ch.witness)]
+                inside = interior_ids_fractions(polys, ch.witness)
                 assert omega_set(ch) == tuple(sorted(inside))
 
 

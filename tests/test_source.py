@@ -52,8 +52,7 @@ LIBRARY_API = {
     "exactgeom": {"affine_dimension", "eq", "ge", "gt", "le", "lt",
                   "relative_interior_point"},
     "strata": {"degeneration_label"},
-    "weights": {"PAIR_OPTIONS", "facet_cover_count", "has_unit_subset",
-                "locate_weight", "stability"},
+    "weights": {"facet_cover_count", "locate_weight", "stability"},
 }
 
 

@@ -9,20 +9,21 @@ from chamberkit.exactgeom import eq, gt, le, lp_feasible, lt
 from chamberkit.hypersimplex import (Chamber, _chamber_wall_data,
                                      build_arrangement, chamber_complex)
 from chamberkit.ratutil import _rank
-from chamberkit.weights import (ATYPICAL, PAIR_OPTIONS, STABLE,
+from chamberkit.weights import (ATYPICAL, STABLE,
                                 STRICTLY_SEMISTABLE, TYPICAL, UNSTABLE,
                                 CoincidencePartition, FineChamber,
                                 Linearisation, WeightVector,
                                 classify_linearisation, facet_cover_count,
-                                fine_chambers, has_unit_subset, locate_weight,
+                                fine_chambers, locate_weight,
                                 parse_partition, semistable_profile,
                                 stability, stability_report, weight_signs,
                                 weight_walls, xi)
 
 from cell_oracles import (chamber_wall_data_per_wall,
                           semistable_profile_fractions)
-from helpers import (coarse_walls, delete_coordinate, permute_point,
-                     permute_weight_signs, rescale_to_carrier)
+from helpers import (PAIR_OPTIONS, coarse_walls, delete_coordinate,
+                     has_unit_subset, permute_point, permute_weight_signs,
+                     rescale_to_carrier)
 
 EXAMPLE_L = (F(1, 2), F(2, 3), F(5, 18), F(5, 18), F(5, 18))
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
@@ -556,7 +557,7 @@ def test_xi_euler_relation_on_dependent_cells_n6():
                    if h.kind == "sum"]
         k = len(subsets)
         if k > 6 or _rank([ones] + [[int(i in s) for i in range(n)]
-                                    for s in subsets], n) == k + 1:
+                                    for s in subsets]) == k + 1:
             continue
         dependent += 1
         dims = {}
@@ -564,7 +565,7 @@ def test_xi_euler_relation_on_dependent_cells_n6():
         for sig in xi(ch):
             zero = tuple(i for i, s in enumerate(sig) if s == "0")
             if zero not in dims:
-                dims[zero] = n - _rank([ones] + [rows[i] for i in zero], n)
+                dims[zero] = n - _rank([ones] + [rows[i] for i in zero])
             euler += (-1) ** dims[zero]
         assert euler == (-1) ** (n - 1), ch.index
     assert dependent == 315
