@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .cache import cached
+from .ratutil import scaled
 from .strata import MAX_PERM_M, dm_valence_census, permutohedron_faces
 
 MAX_ORDER = 12
@@ -100,6 +101,24 @@ def comp_inverse_direct(f):
     return ExpSeries.from_ordinary(g)
 
 
+def _census_sum(f, strata, shift):
+    """Per census in strata, the sum over (parts, count) of count times the
+    product of -a_{p - shift} over the parts, summed as integer numerators
+    over d ** top: d the common denominator of f, top the most parts."""
+    d, neg = scaled([-c for c in f.coeffs])
+    out = []
+    for census in strata:
+        top = max(len(parts) for parts, _ in census)
+        total = 0
+        for parts, count in census:
+            term = count * d ** (top - len(parts))
+            for p in parts:
+                term *= neg[p - shift]
+            total += term
+        out.append(Fraction(total, d ** top))
+    return out
+
+
 def mult_inverse_permutohedral(f):
     """Multiplicative inverse summed over ordered set partitions (the faces
     of the permutohedron): b_n = sum over k of (-1)^k times the ordered
@@ -108,33 +127,19 @@ def mult_inverse_permutohedral(f):
     if f.order > MAX_PERM_ORDER:
         raise ValueError("permutohedral route capped at order %d"
                          % MAX_PERM_ORDER)
-    b = [Fraction(1)]
-    for n in range(1, f.order + 1):
-        total = Fraction(0)
-        census = permutohedron_faces(n - 1).by_type
-        for sizes, count in census.items():
-            term = Fraction(count) * (-1) ** len(sizes)
-            for s in sizes:
-                term *= f.coeffs[s]
-            total += term
-        b.append(total)
-    return ExpSeries(b)
+    return ExpSeries([1] + _census_sum(
+        f, (permutohedron_faces(n - 1).by_type.items()
+            for n in range(1, f.order + 1)), 0))
 
 
 def comp_inverse_strata(f):
     """Compositional inverse summed over boundary strata one level up:
     b_n collects, per stratum, the product of -a_{val-1} over vertices."""
     _require_comp(f)
-    b = [Fraction(0), Fraction(1)]
-    for n in range(2, f.order + 1):
-        total = Fraction(0)
-        for (_codim, vals), count in dm_valence_census(n + 1).items():
-            term = Fraction(count)
-            for v in vals:
-                term *= -f.coeffs[v - 1]
-            total += term
-        b.append(total)
-    return ExpSeries(b)
+    return ExpSeries([0, 1] + _census_sum(
+        f, ([(vals, count) for (_codim, vals), count
+             in dm_valence_census(n + 1).items()]
+            for n in range(2, f.order + 1)), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +234,6 @@ class FaceGenFun:
     m: int
     coeffs: tuple
 
-    def evaluate_t(self, t):
-        total = PolySum.zero()
-        power = 1
-        for c in self.coeffs:
-            total = total + c * power
-            power *= t
-        return total
-
 
 @cached
 def generating_function(m):
@@ -251,4 +248,5 @@ def generating_function(m):
 
 
 def euler_interior(m):
-    return generating_function(m).evaluate_t(-1).evaluate_ones()
+    return sum((-1) ** j * c.evaluate_ones()
+               for j, c in enumerate(generating_function(m).coeffs))

@@ -12,6 +12,7 @@ from math import comb, factorial
 
 from .cache import cached
 from .hypersimplex import _families
+from .ratutil import scaled
 
 MAX_TREE_N = 8
 MAX_CENSUS_N = 13
@@ -314,16 +315,15 @@ def reduction_divisors(a_weights, b_weights):
             raise ValueError("weights not comparable: need 0 < b_i <= a_i <= 1")
     if sum(a) <= 2 or sum(b) <= 2:
         raise ValueError("weight totals must exceed 2")
+    # integer numerators; J stays A-stable, as a(J) >= b(J) > 1 if b(I) <= 1
+    (db, nb), (da, na) = scaled(b), scaled(a)
     out = []
     for r in range(3, n):
-        for i_set in combinations(range(1, n + 1), r):
+        for i_set, bs, a_s in zip(combinations(range(1, n + 1), r),
+                                  combinations(nb, r), combinations(na, r)):
+            if sum(bs) > db or sum(a_s) <= da:
+                continue
             j_set = tuple(q for q in range(1, n + 1) if q not in i_set)
-            if sum(b[q - 1] for q in i_set) > 1:
-                continue
-            if sum(a[q - 1] for q in i_set) <= 1:
-                continue
-            if sum(a[q - 1] for q in j_set) <= 1:
-                continue
             out.append(DivisorRecord(i_set, j_set,
                                    "M0%d" % (r + 1), "M0%d" % (n - r + 1)))
     return out

@@ -213,7 +213,7 @@ def _unit_subset(t, d, sizes):
 def semistable_profile(L):
     """All coincidence partitions with every block sum <= 1, sorted by blocks.
 
-    One block-wise walk (_grow_profile) emits them already in that order,
+    One block-wise walk (_walk_profile) emits them already in that order,
     so no partition is checked or sorted afterwards.  Block sums are integer
     numerators over the weights' common denominator d; a point of weight
     over 1 fits in no block, and then the profile is empty.
@@ -226,39 +226,41 @@ def semistable_profile(L):
     d, t = scaled(L.entries)
     if max(t) > d:
         return ()
-    w = (0,) + t
     out = []
-    _grow_profile(w, d, tuple(range(2, n + 1)), (1,), w[1], 0, (), "{1", out)
+    _walk_profile((0,) + t, d, tuple(range(1, n + 1)), (), "", {}, out)
     return tuple(out)
 
 
-def _grow_profile(w, d, free, block, s, start, done, text, out):
-    """Append to out, in sorted order, every profile partition that begins
-    with the closed blocks `done` and then the open block `block`.
+def _walk_profile(w, d, free, done, text, steps, out):
+    """Append to out, in sorted order, the profile partitions that start
+    with the blocks `done` (report text `text`) and split the unplaced
+    points `free`, increasing, into blocks of weight numerators (w) summing
+    to at most d.  The next block holds free[0]; steps[free] holds its
+    choices in sorted order, found once per set of unplaced points.  Not a
+    self-calling closure: that is a reference cycle, keeping `out` alive
+    until the next full collection."""
+    if free not in steps:
+        steps[free] = []
+        _grow_block(w, d, free[1:], (free[0],), w[free[0]], 0,
+                    "{%d" % free[0], steps[free])
+    for block, block_text, rest in steps[free]:
+        if rest:
+            _walk_profile(w, d, rest, done + (block,), text + block_text,
+                          steps, out)
+        else:
+            out.append(_partition(done + (block,), text + block_text))
 
-    w[p] is the weight numerator of point p, `free` the unplaced points in
-    increasing order, s the sum of `block`, and text the report text so far
-    (the open block without its closing brace).  The open block is closed
-    first and then extended by each point of free[start:] in increasing
-    order that keeps its sum <= d; a closed block is a prefix of every
-    extension, so this is the order of sorted(..., key=blocks).  Each next
-    block opens at the least unplaced point, which always fits.
 
-    A module-level function rather than a closure that calls itself: such a
-    closure is a reference cycle, and it would keep `out` and every
-    partition in it alive after the call, until the next full collection.
-    """
-    if free:
-        p = free[0]
-        _grow_profile(w, d, free[1:], (p,), w[p], 0, done + (block,),
-                      "%s}|{%d" % (text, p), out)
-    else:
-        out.append(_partition(done + (block,), text + "}"))
-    for k in range(start, len(free)):
-        p = free[k]
+def _grow_block(w, d, rest, block, s, start, text, out):
+    """Append (block, its text, the points left) for `block`, of sum s, and
+    then for each extension of it by points of rest[start:] that keeps the
+    sum <= d, in increasing order: the sorted order of the blocks."""
+    out.append((block, text + ("}|" if rest else "}"), rest))
+    for k in range(start, len(rest)):
+        p = rest[k]
         if s + w[p] <= d:
-            _grow_profile(w, d, free[:k] + free[k + 1:], block + (p,),
-                          s + w[p], k, done, "%s,%d" % (text, p), out)
+            _grow_block(w, d, rest[:k] + rest[k + 1:], block + (p,),
+                        s + w[p], k, "%s,%d" % (text, p), out)
 
 
 # ---------------------------------------------------------------------------

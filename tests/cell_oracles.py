@@ -24,7 +24,9 @@ and semistable_profile_fractions walks restricted-growth strings with
 Fraction block sums, builds each partition through the checking
 constructor and sorts them.
 comp_inverse_horner re-composes the partial inverse with f by Horner's
-rule for every order.
+rule for every order.  census_sum_fractions sums a census route's terms
+one Fraction product at a time, and reduction_divisors_fractions takes
+three Fraction subset sums per subset.
 
 fourier_motzkin_feasible decides a mixed strict and non-strict linear
 system by eliminating one variable at a time, with no LP.
@@ -398,6 +400,39 @@ def comp_inverse_horner(f):
             comp[0] += c
         g[n] = -comp[n]
     return ExpSeries.from_ordinary(g[:n_max + 1])
+
+
+def census_sum_fractions(f, strata, shift):
+    """Per census, the sum over (parts, count) of count times the product
+    of -a_{p - shift} over the parts, one Fraction per term."""
+    out = []
+    for census in strata:
+        total = Fraction(0)
+        for parts, count in census:
+            term = Fraction(count)
+            for p in parts:
+                term *= -f.coeffs[p - shift]
+            total += term
+        out.append(total)
+    return out
+
+
+def reduction_divisors_fractions(a, b):
+    """(I, J) of the divisors contracted from the valid weights a down to b:
+    B(I) <= 1 < A(I) and A(J) > 1, in the order of reduction_divisors."""
+    n = len(a)
+    out = []
+    for r in range(3, n):
+        for i_set in combinations(range(1, n + 1), r):
+            j_set = tuple(q for q in range(1, n + 1) if q not in i_set)
+            if sum(b[q - 1] for q in i_set) > 1:
+                continue
+            if sum(a[q - 1] for q in i_set) <= 1:
+                continue
+            if sum(a[q - 1] for q in j_set) <= 1:
+                continue
+            out.append((i_set, j_set))
+    return out
 
 
 def semistable_profile_fractions(lin):

@@ -922,6 +922,31 @@ def test_readme_examples_run(tmp_path, capsys, monkeypatch):
     assert "`verify` re-runs twenty internal identities" in open(_README).read()
 
 
+# one command per note topic of the CLI; each must emit its note
+_NOTE_COMMANDS = {
+    "lm-point-strata": ["strata", "--space", "lm", "--n", "5"],
+    "divisor-factor-order": ["divisors", "--from", "1,1,1,1,1,1,1",
+                             "--to", "1,1,1/10,1/10,1/10,1/10,1/10"],
+    "osp-sign-convention": ["invert", "--mode", "mult", "--method", "strata",
+                            "--coeffs", "1,1/2,1/3,1/4"],
+}
+
+
+def test_note_topics_named_in_readme():
+    # every note the CLI can attach is named in README's "Report format"
+    text = open(_README).read()
+    section = text[text.index("### Report format"):]
+    section = section[:section.index("\n#", 1)]
+    topics = {v["topic"] for v in vars(cli).values()
+              if isinstance(v, dict) and "topic" in v}
+    assert topics == set(_NOTE_COMMANDS)
+    for topic, argv in _NOTE_COMMANDS.items():
+        assert "`%s`" % topic in section, topic
+        report, code = run_json(argv)
+        assert code == 0
+        assert topic in [n["topic"] for n in report["notes"]], argv
+
+
 def test_golden_lm5():
     path = os.path.join(GOLDEN, "lm_strata_5.json")
     report, code = run_json(["census", "--space", "lm", "--n", "5",

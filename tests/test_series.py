@@ -4,15 +4,15 @@ from math import comb, factorial
 
 import pytest
 
-from chamberkit.series import (MAX_ORDER, ExpSeries,
-                               FaceGenFun, PolySum,
+from chamberkit.series import (MAX_ORDER, MAX_PERM_ORDER, ExpSeries,
+                               FaceGenFun, PolySum, _census_sum,
                                comp_inverse_direct, comp_inverse_strata,
                                differential, euler_interior,
                                generating_function, mult_inverse_direct,
                                mult_inverse_permutohedral, word)
-from chamberkit.strata import permutohedron_faces
+from chamberkit.strata import dm_valence_census, permutohedron_faces
 
-from cell_oracles import comp_inverse_horner
+from cell_oracles import census_sum_fractions, comp_inverse_horner
 
 
 def rand_fracs(rng, count, lo=-12, hi=12):
@@ -128,6 +128,39 @@ def test_strata_matches_direct():
     for order in (8, 8, 8, 8, 9, 10, 11, 12):
         s = ExpSeries([0, 1] + rand_fracs(rng, order - 1))
         assert comp_inverse_strata(s) == comp_inverse_direct(s)
+
+
+def _coefficient(rng, kind):
+    if kind == "zero":  # mostly zeros, the rest small fractions
+        return rng.choice((0, 0, 0, rand_fracs(rng, 1)[0]))
+    if kind == "int":  # common denominator 1
+        return rng.randint(-9, 9)
+    return F(rng.choice((-1, 1)) * 10 ** 30 + rng.randint(0, 10 ** 6),
+             7 ** 20 * rng.randint(1, 12))
+
+
+def test_census_routes_match_direct_at_every_order():
+    # one seeded series per order and coefficient kind, each census route
+    # against its direct route and its integer sum against the per-term one
+    rng = random.Random(2411)
+    for kind in ("zero", "int", "big"):
+        for order in range(MAX_PERM_ORDER + 1):
+            s = ExpSeries([1] + [_coefficient(rng, kind)
+                                 for _ in range(order)])
+            strata = [permutohedron_faces(n - 1).by_type.items()
+                      for n in range(1, order + 1)]
+            assert _census_sum(s, strata, 0) == \
+                census_sum_fractions(s, strata, 0)
+            assert mult_inverse_permutohedral(s) == mult_inverse_direct(s)
+        for order in range(1, MAX_ORDER + 1):
+            s = ExpSeries([0, 1] + [_coefficient(rng, kind)
+                                    for _ in range(order - 1)])
+            strata = [[(vals, count) for (_codim, vals), count
+                       in dm_valence_census(n + 1).items()]
+                      for n in range(2, order + 1)]
+            assert _census_sum(s, strata, 1) == \
+                census_sum_fractions(s, strata, 1)
+            assert comp_inverse_strata(s) == comp_inverse_direct(s)
 
 
 def test_direct_comp_inverse_matches_horner_oracle():

@@ -20,7 +20,7 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
 
 from cell_oracles import (chi_term, composition_faces, fubini,
                           lm_chain_tally, pair_graph_closure, pair_set_leq,
-                          stirling2)
+                          reduction_divisors_fractions, stirling2)
 from helpers import permute_lm_chain, relabel_tree
 
 
@@ -213,6 +213,47 @@ def test_reduction_divisor_boundary_and_errors():
         reduction_divisors((1,) * 5, (1,) * 6)
     with pytest.raises(ValueError):
         reduction_divisors((F(1, 2),) * 5, (F(1, 3),) * 5)  # B total < 2
+
+
+def _random_weight_pair(rng, n):
+    """Seeded weights 0 < b_i <= a_i <= 1, each total above 2, over small
+    denominators so that subset sums of exactly 1 occur."""
+    while True:
+        a, b = [], []
+        for _ in range(n):
+            q = rng.choice((1, 2, 3, 4, 6, 12))
+            a.append(F(rng.randint(1, q), q))
+            b.append(a[-1] * F(rng.randint(1, 4), rng.choice((4, 6, 8))))
+        if sum(a) > 2 and sum(b) > 2:
+            return a, b
+
+
+def test_reduction_divisors_match_fraction_oracle():
+    rng = random.Random(1607)
+    cases = [_random_weight_pair(rng, n)
+             for n in range(4, 11) for _ in range(6)]
+    cases += [
+        # b(I) = 1 for I = {3,4,5}: contracted
+        ((1,) * 6, (1, 1, F(1, 3), F(1, 3), F(1, 3), 1)),
+        # a(I) = 1 for I = {3,4,5}: not contracted, I is A-unstable
+        ((1, 1, F(1, 3), F(1, 3), F(1, 3), 1),
+         (1, 1, F(1, 6), F(1, 6), F(1, 6), 1)),
+        # a(J) = 1 for J = {1,2}, where b(I) = 2 already rules I out, as it
+        # must: b(I) <= 1 forces a(J) >= b(J) > 1.  b({3,4,5}) = 1 counts.
+        ((F(1, 2), F(1, 2), 1, 1, 1, 1),
+         (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 3), 1)),
+    ]
+    found = 0
+    for a, b in cases:
+        got = [(d.i_set, d.j_set) for d in reduction_divisors(a, b)]
+        assert got == reduction_divisors_fractions(
+            [F(x) for x in a], [F(x) for x in b])
+        found += len(got)
+    assert found > 100
+    # a(J) = 1 for J = {1,2} beside b(I) = 1: B then totals exactly 2
+    with pytest.raises(ValueError, match="weight totals must exceed 2"):
+        reduction_divisors((F(1, 2), F(1, 2), 1, 1, 1),
+                           (F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 3)))
 
 
 def test_lm_counts():
