@@ -33,7 +33,6 @@ face adjacency of ChamberComplex is not kept by the build; it is recomputed
 from the cell masks when first read.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -584,9 +583,6 @@ class ChamberComplex:
 
     # -- queries ------------------------------------------------------
 
-    def chamber_by_signs(self, signs):
-        return self._by_signs.get(signs)
-
     def locate(self, point):
         """The cell whose relative interior contains the given point of D(n)."""
         point = tuple(Fraction(x) for x in point)
@@ -594,7 +590,7 @@ class ChamberComplex:
             raise ValueError("point has wrong length")
         d, nums = scaled(point)
         if sum(nums) != 2 * d or any(x < 0 or x > d for x in nums):
-            raise ValueError("point does not lie in D(n)")
+            raise ValueError("point does not lie in D(%d)" % self.n)
         signs = self.arrangement.signs_at_scaled(d, nums)
         ch = self._by_signs.get(signs)
         if ch is None:
@@ -606,23 +602,6 @@ class ChamberComplex:
                                   % (self.n, ", ".join(box)))
             raise LookupError("no enumerated cell matches the point's sign vector")
         return ch
-
-    def chamber_vertices(self, chamber):
-        """The exact 0-cells spanning the closure of a cell."""
-        return [self.vertices[i] for i in _bit_indices(self._mask_of[chamber.signs])]
-
-    def sample_relative_interior(self, chamber, count, seed=0):
-        """Deterministic exact samples from a cell's relative interior."""
-        verts = self.chamber_vertices(chamber)
-        rng = random.Random(0xA11CE + seed + 7919 * chamber.index)
-        points = []
-        for _ in range(count):
-            weights = [rng.randint(1, 97) for _ in verts]
-            total = sum(weights)
-            pt = tuple(sum(Fraction(w) * v[j] for w, v in zip(weights, verts)) / total
-                       for j in range(self.n))
-            points.append(pt)
-        return points
 
 
 @cached

@@ -161,10 +161,6 @@ class PolySum:
     def make(d):
         return PolySum(_norm_terms(d))
 
-    @staticmethod
-    def zero():
-        return PolySum(())
-
     def as_dict(self):
         return dict(self.terms)
 
@@ -231,7 +227,6 @@ class FaceGenFun:
     """Face generating function of P_e^m: coefficient of t^j collects the
     codimension-j faces as a PolySum."""
 
-    m: int
     coeffs: tuple
 
 
@@ -244,7 +239,7 @@ def generating_function(m):
         w = tuple(sorted((s - 1 for s in sizes), reverse=True))
         per_codim[codim][w] = per_codim[codim].get(w, 0) + count
     coeffs = tuple(PolySum.make(d).collapse_points() for d in per_codim)
-    return FaceGenFun(m, coeffs)
+    return FaceGenFun(coeffs)
 
 
 def euler_interior(m):

@@ -542,7 +542,6 @@ def _face(s):
 
 @dataclass(frozen=True)
 class FaceCensus:
-    m: int
     by_k: dict
     by_type: dict
     f_vector: tuple
@@ -561,7 +560,7 @@ def permutohedron_faces(m):
         by_k[k] = by_k.get(k, 0) + count
         by_type[sizes] = count
     f_vector = tuple(by_k[ground - d] for d in range(m + 1))
-    return FaceCensus(m, by_k, by_type, f_vector, sum(by_k.values()))
+    return FaceCensus(by_k, by_type, f_vector, sum(by_k.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -577,44 +576,12 @@ class IntersectionLocus:
     n: int
     components: tuple
 
-    def support_type(self):
-        free = (self.n - 2) - sum(len(c) for c in self.components) \
-            + len(self.components)
-        return "F%d" % (free + 2)
-
-    def is_point(self):
-        return self.support_type() == "F3"
-
-    def leq(self, other):
-        """Containment of loci: finer forcing means a smaller locus, so
-        each clique of other lies inside a clique of self."""
-        return all(any(set(c) <= set(d) for d in self.components)
-                   for c in other.components)
-
 
 @dataclass(frozen=True)
 class BuildingLattice:
     n: int
     generators: tuple
     elements: tuple
-
-    def closure(self, gens):
-        """The intersection of the generators' loci: points forced together
-        by one generator coincide, so generators that share a point merge
-        into one clique."""
-        light = set(range(3, self.n + 1))
-        cliques = []
-        for g in gens:
-            merged = set(g)
-            if not merged <= light:
-                raise ValueError("generator %r leaves the light points 3..%d"
-                                 % (tuple(g), self.n))
-            for c in [c for c in cliques if c & merged]:
-                merged |= c
-                cliques.remove(c)
-            cliques.append(merged)
-        return IntersectionLocus(self.n, tuple(sorted(
-            tuple(sorted(c)) for c in cliques if len(c) > 1)))
 
 
 @cached
@@ -642,7 +609,6 @@ def wonderful_building_set(n):
 class WonderfulCensus:
     n: int
     by_type: dict
-    by_center_size: dict
 
     @property
     def total(self):
@@ -655,7 +621,6 @@ def wonderful_divisor_census(n):
     _check_range(n, 5, 7)
     lattice = wonderful_building_set(n)
     by_type = {}
-    by_center = {}
     for elem in lattice.elements:
         if len(elem.components) != 1:
             raise RuntimeError("wonderful building-set element with %d components"
@@ -665,5 +630,4 @@ def wonderful_divisor_census(n):
         factor_j = "F%d" % (n - r + 1)
         key = factor_i if factor_j == "F3" else factor_i + "x" + factor_j
         by_type[key] = by_type.get(key, 0) + 1
-        by_center[r] = by_center.get(r, 0) + 1
-    return WonderfulCensus(n, by_type, by_center)
+    return WonderfulCensus(n, by_type)

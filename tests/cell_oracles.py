@@ -33,7 +33,8 @@ system by eliminating one variable at a time, with no LP.
 
 pair_graph_closure closes building generators through the graph of the
 point pairs they force together, one depth-first search per component, and
-pair_set_leq compares two loci by the sets of pairs they force.
+pair_set_leq compares two loci by the sets of pairs they force: the oracles
+of helpers.building_closure and helpers.locus_leq.
 """
 
 from fractions import Fraction

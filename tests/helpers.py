@@ -9,16 +9,28 @@ hypersimplex_polytope is D(n) as an H-polytope for the exact LP.
 has_unit_subset asks whether some subset of a weight vector sums to 1, and
 PAIR_OPTIONS are the five sign pairs a pair of walls through a carrier cell
 can take in a weight-domain cell whose closure holds it.
+
+Queries that the library answers for no command take their object first:
+chamber_by_signs, chamber_vertices and sample_relative_interior on a
+ChamberComplex; building_closure on a BuildingLattice; locus_support_type,
+locus_is_point and locus_leq on an IntersectionLocus; center_sizes counts a
+building set's elements by clique size.  POLY_ZERO is the empty PolySum.
 """
 
+import random
+from fractions import Fraction
+
 from chamberkit.exactgeom import LE, HPolytope
-from chamberkit.hypersimplex import _box, _check_n, weight_walls
+from chamberkit.hypersimplex import _bit_indices, _box, _check_n, weight_walls
 from chamberkit.ratutil import scaled
-from chamberkit.strata import LMChain, StableTree
+from chamberkit.series import PolySum
+from chamberkit.strata import IntersectionLocus, LMChain, StableTree
 from chamberkit.weights import (Linearisation, WeightVector, _to_fractions,
                                 _unit_subset)
 
 PAIR_OPTIONS = (("0", "+"), ("+", "0"), ("+", "+"), ("+", "-"), ("-", "+"))
+
+POLY_ZERO = PolySum(())
 
 
 def permute_point(perm, point):
@@ -101,3 +113,72 @@ def has_unit_subset(entries):
     """True when some nonempty proper subset of the entries sums to 1."""
     d, t = scaled(entries)
     return _unit_subset(t, d, range(1, len(t) // 2 + 1)) is not None
+
+
+def chamber_by_signs(cc, signs):
+    return cc._by_signs.get(signs)
+
+
+def chamber_vertices(cc, chamber):
+    """The exact 0-cells spanning the closure of a cell."""
+    return [cc.vertices[i] for i in _bit_indices(cc._mask_of[chamber.signs])]
+
+
+def sample_relative_interior(cc, chamber, count, seed=0):
+    """Deterministic exact samples from a cell's relative interior."""
+    verts = chamber_vertices(cc, chamber)
+    rng = random.Random(0xA11CE + seed + 7919 * chamber.index)
+    points = []
+    for _ in range(count):
+        weights = [rng.randint(1, 97) for _ in verts]
+        total = sum(weights)
+        pt = tuple(sum(Fraction(w) * v[j] for w, v in zip(weights, verts)) / total
+                   for j in range(cc.n))
+        points.append(pt)
+    return points
+
+
+def building_closure(lattice, gens):
+    """The intersection of the generators' loci: points forced together
+    by one generator coincide, so generators that share a point merge
+    into one clique."""
+    light = set(range(3, lattice.n + 1))
+    cliques = []
+    for g in gens:
+        merged = set(g)
+        if not merged <= light:
+            raise ValueError("generator %r leaves the light points 3..%d"
+                             % (tuple(g), lattice.n))
+        for c in [c for c in cliques if c & merged]:
+            merged |= c
+            cliques.remove(c)
+        cliques.append(merged)
+    return IntersectionLocus(lattice.n, tuple(sorted(
+        tuple(sorted(c)) for c in cliques if len(c) > 1)))
+
+
+def locus_support_type(locus):
+    free = (locus.n - 2) - sum(len(c) for c in locus.components) \
+        + len(locus.components)
+    return "F%d" % (free + 2)
+
+
+def locus_is_point(locus):
+    return locus_support_type(locus) == "F3"
+
+
+def locus_leq(locus, other):
+    """Containment of loci: finer forcing means a smaller locus, so
+    each clique of other lies inside a clique of locus."""
+    return all(any(set(c) <= set(d) for d in locus.components)
+               for c in other.components)
+
+
+def center_sizes(lattice):
+    """{r: count} of the building set's elements, each one clique of r
+    points: the blown-up centers of the wonderful divisors by size."""
+    out = {}
+    for elem in lattice.elements:
+        r = len(elem.components[0])
+        out[r] = out.get(r, 0) + 1
+    return out

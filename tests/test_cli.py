@@ -646,9 +646,15 @@ def test_point_length_errors_name_the_point(command, capsys):
         assert _one_error(capsys) == (
             "--point has %d coordinates; a point of D(n) has n coordinates, "
             "4 <= n <= 6" % k)
+    # a point off the hypersimplex names its n, as the boundary error does
+    off = "1/2,1/2,1/2,1/3"
+    assert main([command, "--point", off]) == 1
+    assert _one_error(capsys) == "point does not lie in D(4)"
     if command == "xi":
         assert main(["xi", "--n", "5", "--point", "1/2,1/2,1/2,1/2"]) == 1
         assert _one_error(capsys) == "--n 5 disagrees with the point length 4"
+        assert main(["chambers", "--n", "4", "--locate", off]) == 1
+        assert _one_error(capsys) == "point does not lie in D(4)"
 
 
 def test_parse_vector_rejects_empty_fields(capsys):

@@ -18,7 +18,8 @@ from cell_oracles import (_reduced_rows, finish_per_wall,
                           independent_cell_census,
                           interior_contains_fractions, interior_ids_fractions,
                           omega_from_wall_signs, signs_at_fractions)
-from helpers import hypersimplex_polytope, permute_point
+from helpers import (chamber_by_signs, hypersimplex_polytope, permute_point,
+                     sample_relative_interior)
 
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
 
@@ -338,7 +339,7 @@ def test_signs_at_matches_fraction_oracle(n):
     cells = cc.chambers if n < 6 else cc.chambers[::7]
     points = [ch.witness for ch in cells]
     for ch in cells[::max(1, len(cells) // 40)]:
-        points += cc.sample_relative_interior(ch, 3)
+        points += sample_relative_interior(cc, ch, 3)
     rng = random.Random(1000 + n)
     walls = [None] + list(hs.weight_walls(n))
     located = [_large_denominator_point(rng, n, walls[i % len(walls)])
@@ -378,7 +379,7 @@ def test_adjacency_example_chamber():
     expected = set()
     for repl in "+-":
         flipped = ch.signs[:zero_idx] + repl + ch.signs[zero_idx + 1:]
-        other = cc.chamber_by_signs(flipped)
+        other = chamber_by_signs(cc, flipped)
         assert other is not None and other.dim == 4
         expected.add(other.index)
     assert set(parents) == expected
@@ -603,7 +604,7 @@ def test_relative_interior_sampling():
     rng = random.Random(7)
     picks = rng.sample(cc.chambers, 12)
     for ch in picks:
-        for pt in cc.sample_relative_interior(ch, 3):
+        for pt in sample_relative_interior(cc, ch, 3):
             assert cc.arrangement.signs_at(pt) == ch.signs
 
 

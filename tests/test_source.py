@@ -7,8 +7,12 @@ recursions are module-level functions instead.  No json.dump or json.dumps
 call takes an indent, which makes json leave its C encoder.  The README's
 table of enumeration guards quotes each cap as the constant in the code.
 A public top-level name that no module of the library uses is library API
-named in LIBRARY_API, so that a helper only the tests call lives under
-tests/, and only hypersimplex imports the exact LP module.
+named in LIBRARY_API, and a public method, property or annotated field of a
+public class that no module of the library reads as an attribute is one
+named in LIBRARY_MEMBERS, each with its reason; so a helper only the tests
+call lives under tests/ (tests/helpers.py), with the object it queried as
+its first argument.  The README's library layout table names exactly the
+modules of the package, and only hypersimplex imports the exact LP module.
 """
 
 import ast
@@ -53,6 +57,34 @@ LIBRARY_API = {
                   "relative_interior_point"},
     "strata": {"degeneration_label"},
     "weights": {"facet_cover_count", "locate_weight", "stability"},
+}
+
+# the public members of public classes that no module of the library reads,
+# as Class.member, each with the reason it stays in the library
+LIBRARY_MEMBERS = {
+    "exactgeom": {
+        "LinConstraint.holds": "checks a point against one constraint; it "
+                               "leaves with the rest of the exact LP module",
+    },
+    "hypersimplex": {
+        "ChamberComplex.adjacency": "the facet incidences of the complex, "
+                                    "for certificates across its walls",
+    },
+    "strata": {
+        "FaceCensus.by_k": "face counts by number of blocks, for the toric "
+                           "Poincare polynomial",
+        "FaceCensus.f_vector": "face counts by dimension, for the toric "
+                               "Poincare polynomial",
+        "StrataCensus.by_codim": "the nodal strata counted by codimension, "
+                                 "the census's f-vector for library callers",
+        "BuildingLattice.generators": "the triple coincidences the building "
+                                      "set is closed from",
+    },
+    "weights": {
+        "WeightLocation." + field: "part of the result of the library call "
+                                   "locate_weight"
+        for field in ("cell_id", "wall", "one_contacts", "chamber")
+    },
 }
 
 
@@ -125,17 +157,22 @@ def test_no_indented_json_call():
     assert calls == []
 
 
+def readme_table(heading):
+    """The rows of the table under the README's given heading, as lists of
+    stripped cells, its header row and rule left out."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("## " + heading + "\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    return rows[2:]
+
+
 def readme_guards():
     """{quantity: caps} from the README's "Enumeration guards" table, the
     caps being the slash-separated integers that open the cap column."""
-    with open(os.path.join(ROOT, "README.md")) as fh:
-        text = fh.read()
-    section = text.split("## Enumeration guards", 1)[1].split("\n## ", 1)[0]
     out = {}
-    for line in section.splitlines():
-        cells = [c.strip() for c in line.strip("|").split("|")]
-        if not line.startswith("|") or cells[0] in ("quantity", "---"):
-            continue
+    for cells in readme_table("Enumeration guards"):
         caps = re.match(r"\d+(?: / \d+)*", cells[1])
         out[cells[0]] = tuple(int(c) for c in caps.group().split(" / "))
     return out
@@ -143,6 +180,14 @@ def readme_guards():
 
 def test_readme_guard_table_matches_the_caps():
     assert readme_guards() == GUARDS
+
+
+def test_readme_layout_table_names_every_module():
+    listed = [cells[0] for cells in readme_table("Library layout")]
+    modules = {"`chamberkit.%s`" % name[:-3] for name, _ in _modules()
+               if name != "__init__.py"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == modules
 
 
 def tracer_targets():
@@ -220,6 +265,60 @@ def test_scan_finds_an_unused_public_name():
 
 def test_unused_public_names_are_library_api():
     assert unused_public_names(list(_modules())) == LIBRARY_API
+
+
+def unused_public_members(modules):
+    """{module: names} of the methods, properties and annotated fields, as
+    Class.member, of the public classes of the given (name, tree) pairs
+    that no module reads as an attribute, matched by member name alone.
+    Dunders and other private members are left out."""
+    defined = {}
+    read = set()
+    for name, tree in modules:
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    member = node.name
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    member = node.target.id
+                else:
+                    continue
+                if not member.startswith("_"):
+                    defined.setdefault(member, []).append(
+                        (name[:-3], cls.name + "." + member))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    out = {}
+    for member, owners in defined.items():
+        if member not in read:
+            for owner, qualified in owners:
+                out.setdefault(owner, set()).add(qualified)
+    return out
+
+
+def test_scan_finds_an_unused_public_member():
+    tree = ast.parse("@dataclass\n"
+                     "class Shape:\n"
+                     "    size: int\n"
+                     "    label: str\n"
+                     "    def grow(self):\n        return 1\n"
+                     "    @property\n"
+                     "    def area(self):\n        return 0\n"
+                     "    def __len__(self):\n        return 0\n"
+                     "class _Hidden:\n"
+                     "    def walk(self):\n        return 0\n")
+    other = ast.parse("def name(shape):\n    return shape.label\n")
+    assert unused_public_members([("one.py", tree), ("two.py", other)]) == {
+        "one": {"Shape.size", "Shape.grow", "Shape.area"}}
+
+
+def test_unused_public_members_are_library_members():
+    assert unused_public_members(list(_modules())) == {
+        module: set(reasons) for module, reasons in LIBRARY_MEMBERS.items()}
 
 
 def exactgeom_importers(modules):

@@ -21,7 +21,9 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
 from cell_oracles import (chi_term, composition_faces, fubini,
                           lm_chain_tally, pair_graph_closure, pair_set_leq,
                           reduction_divisors_fractions, stirling2)
-from helpers import permute_lm_chain, relabel_tree
+from helpers import (building_closure, center_sizes, locus_is_point,
+                     locus_leq, locus_support_type, permute_lm_chain,
+                     relabel_tree)
 
 
 def test_dm_counts():
@@ -158,7 +160,7 @@ def test_building_closure_rejects_points_outside_the_light_set():
     bl = wonderful_building_set(6)
     for gens in ([(3, 4, 9)], [(3, 4, 5), (2, 3, 4)], [(1, 5, 6)]):
         with pytest.raises(ValueError):
-            bl.closure(gens)
+            building_closure(bl, gens)
 
 
 @pytest.mark.parametrize("n", range(4, 9))
@@ -461,24 +463,24 @@ def test_building_set_counts():
 
 def test_building_set_intersections():
     bl = wonderful_building_set(6)
-    total = bl.closure(bl.generators)
-    assert total.components == ((3, 4, 5, 6),) and total.is_point()
+    total = building_closure(bl, bl.generators)
+    assert total.components == ((3, 4, 5, 6),) and locus_is_point(total)
     for g1, g2 in combinations(bl.generators, 2):
-        assert bl.closure([g1, g2]) == total
+        assert building_closure(bl, [g1, g2]) == total
 
     bl7 = wonderful_building_set(7)
     quads = set()
     for g1, g2 in combinations(bl7.generators, 2):
-        inter = bl7.closure([g1, g2])
+        inter = building_closure(bl7, [g1, g2])
         if len(set(g1) & set(g2)) == 1:
-            assert inter.is_point() and inter.support_type() == "F3"
+            assert locus_is_point(inter) and locus_support_type(inter) == "F3"
         else:
-            assert inter.support_type() == "F4"
+            assert locus_support_type(inter) == "F4"
             quads.add(inter.components)
     assert len(quads) == 5
     # the deepest element sits below everything
-    point = next(e for e in bl7.elements if e.is_point())
-    assert all(point.leq(e) for e in bl7.elements)
+    point = next(e for e in bl7.elements if locus_is_point(e))
+    assert all(locus_leq(point, e) for e in bl7.elements)
 
 
 @pytest.mark.parametrize("n, relations", [(5, 1), (6, 9), (7, 51), (8, 273)])
@@ -486,8 +488,10 @@ def test_building_set_matches_pair_graph_oracle(n, relations):
     bl = wonderful_building_set(n)
     for k in (1, 2, 3):
         for gens in combinations(bl.generators, k):
-            assert bl.closure(gens).components == pair_graph_closure(n, gens)
-    leq = [(a, b) for a in bl.elements for b in bl.elements if a.leq(b)]
+            assert (building_closure(bl, gens).components
+                    == pair_graph_closure(n, gens))
+    leq = [(a, b) for a in bl.elements for b in bl.elements
+           if locus_leq(a, b)]
     assert leq == [(a, b) for a in bl.elements for b in bl.elements
                    if pair_set_leq(a, b)]
     assert len(leq) == relations
@@ -507,7 +511,7 @@ def test_wonderful_divisor_census():
     assert wonderful_divisor_census(6).by_type == {"F4xF4": 4, "F5": 1}
     c7 = wonderful_divisor_census(7)
     assert c7.by_type == {"F4xF5": 10, "F5xF4": 5, "F6": 1}
-    assert c7.by_center_size == {3: 10, 4: 5, 5: 1}
+    assert center_sizes(wonderful_building_set(7)) == {3: 10, 4: 5, 5: 1}
 
 
 def test_wonderful_totals_match_reduction():
@@ -519,4 +523,4 @@ def test_wonderful_totals_match_reduction():
         by_size = {}
         for d in divs:
             by_size[len(d.i_set)] = by_size.get(len(d.i_set), 0) + 1
-        assert wonderful_divisor_census(n).by_center_size == by_size
+        assert center_sizes(wonderful_building_set(n)) == by_size

@@ -23,7 +23,7 @@ from cell_oracles import (chamber_wall_data_per_wall,
                           semistable_profile_fractions)
 from helpers import (PAIR_OPTIONS, coarse_walls, delete_coordinate,
                      has_unit_subset, permute_point, permute_weight_signs,
-                     rescale_to_carrier)
+                     rescale_to_carrier, sample_relative_interior)
 
 EXAMPLE_L = (F(1, 2), F(2, 3), F(5, 18), F(5, 18), F(5, 18))
 EXAMPLE_POINT = (F(3, 5), F(1, 3), F(2, 5), F(1, 3), F(1, 3))
@@ -232,7 +232,7 @@ def test_chamber_invariance_sample():
     for ch in rng.sample(interior, 12):
         profiles = set()
         stables = set()
-        for pt in cc.sample_relative_interior(ch, 3):
+        for pt in sample_relative_interior(cc, ch, 3):
             L = Linearisation(pt)
             prof = semistable_profile(L)
             profiles.add(tuple(p.blocks for p in prof))
