@@ -351,14 +351,15 @@ _SIGN_NOTE = {
 }
 
 
+@lru_cache(maxsize=None)
 def _census_payload(space, n):
+    """One space's census results and certificate, tallied once per n."""
     st._check_range(n, 4, st.MAX_CENSUS_N)
+    census = st.dm_valence_census(n) if space == "dm" else st.lm_census(n)
+    by_grade, by_type, total, chi = st.tally(census)
     if space == "dm":
-        by_grade, by_type, total, chi = st.tally(st.dm_valence_census(n))
         grade, cert = "by_codim", _cert("chi-fibration", chi, st.chi_mbar(n))
     else:
-        c = st.lm_census(n)
-        by_grade, by_type, total, chi = c.by_dim, c.by_type, c.total, c.chi
         grade = "by_dim"
         cert = _cert("chi-permutohedral", chi, factorial(n - 2))
     return {
@@ -377,7 +378,7 @@ def _cmd_strata(args):
             results["strata"] = [
                 {"splits": [_braces(s) for s in t.splits],
                  "codim": t.codim, "type": t.type_string()}
-                for t in st.dm_strata(args.n).trees]
+                for t in st.dm_strata(args.n)]
         else:
             items = []
             for c in st.lm_strata(args.n):
@@ -419,8 +420,9 @@ def _cmd_divisors(args):
     # The wonderful census counts the divisors only while the light points
     # together weigh at most 1.
     if heavy_light and 5 <= n <= 7 and (n - 2) * b[2] <= 1:
-        wc = st.wonderful_divisor_census(n)
-        certs.append(_cert("wonderful-total", wc.total, len(divs)))
+        certs.append(_cert("wonderful-total",
+                           sum(st.wonderful_divisor_census(n).values()),
+                           len(divs)))
         if n == 7:
             notes.append(_FACTOR_ORDER_NOTE)
     return {"from": _fmt_vec(a), "to": _fmt_vec(b)}, results, certs, notes
@@ -515,17 +517,17 @@ def _verify_weights(n, rng, certs):
 
 def _verify_strata(n, rng, certs):
     for m in range(4, min(n, 6) + 1):
-        certs.append(_cert("dm-chi-%d" % m, st.dm_strata(m).chi_strata_sum(),
-                           st.chi_mbar(m)))
-        certs.append(_cert("lm-chi-%d" % m, st.lm_census(m).chi,
+        chi = sum(st.chi_stratum(t.valences()) for t in st.dm_strata(m))
+        certs.append(_cert("dm-chi-%d" % m, chi, st.chi_mbar(m)))
+        certs.append(_cert("lm-chi-%d" % m, st.tally(st.lm_census(m))[3],
                            factorial(m - 2)))
     certs.append(_cert("lm-point-labels-n5",
                        st.lm_point_label_census_n5()["total"], 13))
     for m in (5, 6, 7):
         eps = Fraction(1, 2 * (m - 2))
         divs = st.reduction_divisors((1,) * m, (1, 1) + (eps,) * (m - 2))
-        wc = st.wonderful_divisor_census(m)
-        certs.append(_cert("wonderful-vs-reduction-%d" % m, wc.total,
+        certs.append(_cert("wonderful-vs-reduction-%d" % m,
+                           sum(st.wonderful_divisor_census(m).values()),
                            len(divs)))
 
 

@@ -102,15 +102,16 @@ def comp_inverse_direct(f):
 
 
 def _census_sum(f, strata, shift):
-    """Per census in strata, the sum over (parts, count) of count times the
-    product of -a_{p - shift} over the parts, summed as integer numerators
-    over d ** top: d the common denominator of f, top the most parts."""
+    """Per census in strata, a dict keyed (grade, parts) -> count, the sum
+    of count times the product of -a_{p - shift} over the parts, summed as
+    integer numerators over d ** top: d the common denominator of f, top
+    the most parts.  The grade is not read."""
     d, neg = scaled([-c for c in f.coeffs])
     out = []
     for census in strata:
-        top = max(len(parts) for parts, _ in census)
+        top = max(len(parts) for _, parts in census)
         total = 0
-        for parts, count in census:
+        for (_, parts), count in census.items():
             term = count * d ** (top - len(parts))
             for p in parts:
                 term *= neg[p - shift]
@@ -128,8 +129,7 @@ def mult_inverse_permutohedral(f):
         raise ValueError("permutohedral route capped at order %d"
                          % MAX_PERM_ORDER)
     return ExpSeries([1] + _census_sum(
-        f, (permutohedron_faces(n - 1).by_type.items()
-            for n in range(1, f.order + 1)), 0))
+        f, (permutohedron_faces(n - 1) for n in range(1, f.order + 1)), 0))
 
 
 def comp_inverse_strata(f):
@@ -137,9 +137,7 @@ def comp_inverse_strata(f):
     b_n collects, per stratum, the product of -a_{val-1} over vertices."""
     _require_comp(f)
     return ExpSeries([0, 1] + _census_sum(
-        f, ([(vals, count) for (_codim, vals), count
-             in dm_valence_census(n + 1).items()]
-            for n in range(2, f.order + 1)), 1))
+        f, (dm_valence_census(n + 1) for n in range(2, f.order + 1)), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +220,17 @@ def differential(p):
     return p.differential()
 
 
-@dataclass(frozen=True)
-class FaceGenFun:
-    """Face generating function of P_e^m: coefficient of t^j collects the
-    codimension-j faces as a PolySum."""
-
-    coeffs: tuple
-
-
 @cached
 def generating_function(m):
-    census = permutohedron_faces(m).by_type
+    """Face generating function of P_e^m, as its coefficients: that of t^j
+    collects the codimension-j faces as a PolySum."""
     per_codim = [dict() for _ in range(m + 1)]
-    for sizes, count in census.items():
-        codim = len(sizes) - 1
+    for (k, sizes), count in permutohedron_faces(m).items():
         w = tuple(sorted((s - 1 for s in sizes), reverse=True))
-        per_codim[codim][w] = per_codim[codim].get(w, 0) + count
-    coeffs = tuple(PolySum.make(d).collapse_points() for d in per_codim)
-    return FaceGenFun(coeffs)
+        per_codim[k - 1][w] = per_codim[k - 1].get(w, 0) + count
+    return tuple(PolySum.make(d).collapse_points() for d in per_codim)
 
 
 def euler_interior(m):
     return sum((-1) ** j * c.evaluate_ones()
-               for j, c in enumerate(generating_function(m).coeffs))
+               for j, c in enumerate(generating_function(m)))

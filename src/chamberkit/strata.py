@@ -2,9 +2,11 @@
 weighted point configurations: stable-tree censuses, two-weight reduction
 divisors, chain strata of the two-heavy-points compactification, the
 permutohedron face lattice, and the wonderful blow-up building set.
+
+The nodal, chain and face censuses come out of one recursion (_blocks) as
+dicts keyed (grade, parts) -> count, parts being valences or block sizes.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -219,29 +221,14 @@ def dm_valence_census(n):
                        for (codim, vals), count in _branch(n - 1).items()))
 
 
-@dataclass(frozen=True)
-class StrataCensus:
-    n: int
-    trees: tuple
-    by_codim: dict
-    by_type: dict
-
-    @property
-    def total(self):
-        return len(self.trees)
-
-    def chi_strata_sum(self):
-        return sum(chi_stratum(t.valences()) for t in self.trees)
-
-
 def _mask_to_split(mask):
     return tuple(i + 2 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @cached
 def dm_strata(n):
-    """All boundary strata of the n-pointed space as stable trees, with
-    censuses by codimension and by topological type."""
+    """All boundary strata of the n-pointed space as stable trees, sorted by
+    codimension, then splits; dm_valence_census counts them."""
     _check_range(n, 4, MAX_TREE_N)
     trees = []
 
@@ -250,9 +237,7 @@ def dm_strata(n):
 
     _laminar_families(n, visit)
     trees.sort(key=lambda t: (t.codim, t.splits))
-    by_codim, by_type = tally(
-        Counter((t.codim, t.valences()) for t in trees))[:2]
-    return StrataCensus(n, tuple(trees), by_codim, by_type)
+    return tuple(trees)
 
 
 @cached
@@ -395,15 +380,6 @@ def lm_strata(n):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class LMCensus:
-    n: int
-    by_dim: dict
-    by_type: dict
-    total: int
-    chi: int
-
-
 def _point(s):
     """A block that carries nothing, so that _blocks counts set partitions."""
     return {(0, ()): 1}
@@ -418,10 +394,10 @@ def _screen(s):
 
 @cached
 def lm_census(n):
-    """Census of the chain strata without listing them: the light legs
-    3..n split into screens in order, each screen into clusters."""
+    """(dim, valences) census of the chain strata, not listed: the light
+    legs 3..n split into screens in order, each screen into clusters."""
     _check_range(n, 4, MAX_CENSUS_N)
-    return LMCensus(n, *tally(_ordered(n - 2, _screen)))
+    return dict(sorted(_ordered(n - 2, _screen).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -540,27 +516,13 @@ def _face(s):
     return {(1, (s,)): 1}
 
 
-@dataclass(frozen=True)
-class FaceCensus:
-    by_k: dict
-    by_type: dict
-    f_vector: tuple
-    total: int
-
-
 @cached
 def permutohedron_faces(m):
-    """Face census of the m-dimensional permutohedron: faces correspond to
-    ordered partitions of a ground set of size m+1, dim = m+1-k."""
+    """Face census of the m-dimensional permutohedron, keyed (k, sizes): a
+    face is an ordered partition of m + 1 points into k blocks of the given
+    sizes, largest first, and has dimension m + 1 - k."""
     _check_range(m, 0, MAX_PERM_M, "m")
-    ground = m + 1
-    by_k = {}
-    by_type = {}
-    for (k, sizes), count in _ordered(ground, _face).items():
-        by_k[k] = by_k.get(k, 0) + count
-        by_type[sizes] = count
-    f_vector = tuple(by_k[ground - d] for d in range(m + 1))
-    return FaceCensus(by_k, by_type, f_vector, sum(by_k.values()))
+    return _ordered(m + 1, _face)
 
 
 # ---------------------------------------------------------------------------
@@ -605,19 +567,9 @@ def wonderful_building_set(n):
     return BuildingLattice(n, generators, tuple(elements))
 
 
-@dataclass(frozen=True)
-class WonderfulCensus:
-    n: int
-    by_type: dict
-
-    @property
-    def total(self):
-        return sum(self.by_type.values())
-
-
 def wonderful_divisor_census(n):
-    """One exceptional divisor per building-set element; the type pairs the
-    blown-up center side with its complement, a point factor dropped."""
+    """Exceptional divisors counted by type, one per building-set element:
+    the blown-up center side with its complement, a point factor dropped."""
     _check_range(n, 5, 7)
     lattice = wonderful_building_set(n)
     by_type = {}
@@ -630,4 +582,4 @@ def wonderful_divisor_census(n):
         factor_j = "F%d" % (n - r + 1)
         key = factor_i if factor_j == "F3" else factor_i + "x" + factor_j
         by_type[key] = by_type.get(key, 0) + 1
-    return WonderfulCensus(n, by_type)
+    return by_type

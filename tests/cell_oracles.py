@@ -404,12 +404,12 @@ def comp_inverse_horner(f):
 
 
 def census_sum_fractions(f, strata, shift):
-    """Per census, the sum over (parts, count) of count times the product
-    of -a_{p - shift} over the parts, one Fraction per term."""
+    """Per census dict keyed (grade, parts) -> count, the sum of count times
+    the product of -a_{p - shift} over the parts, one Fraction per term."""
     out = []
     for census in strata:
         total = Fraction(0)
-        for parts, count in census:
+        for (_, parts), count in census.items():
             term = Fraction(count)
             for p in parts:
                 term *= -f.coeffs[p - shift]

@@ -15,6 +15,8 @@ chamber_by_signs, chamber_vertices and sample_relative_interior on a
 ChamberComplex; building_closure on a BuildingLattice; locus_support_type,
 locus_is_point and locus_leq on an IntersectionLocus; center_sizes counts a
 building set's elements by clique size.  POLY_ZERO is the empty PolySum.
+grade_counts sums a census dict, keyed (grade, parts) -> count, by grade:
+the permutohedron's faces by number of blocks, say.
 """
 
 import random
@@ -181,4 +183,12 @@ def center_sizes(lattice):
     for elem in lattice.elements:
         r = len(elem.components[0])
         out[r] = out.get(r, 0) + 1
+    return out
+
+
+def grade_counts(census):
+    """{grade: count} of a census keyed (grade, parts) -> count."""
+    out = {}
+    for (grade, _), count in census.items():
+        out[grade] = out.get(grade, 0) + count
     return out

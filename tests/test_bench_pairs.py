@@ -90,3 +90,36 @@ def test_reports_seeds_run_on_one_side(tmp_path, capsys):
     assert "chambers seeds [3] ran on the parent side only" in err
     assert "chambers seeds [4] ran on the change side only" in err
     assert "xi seeds [5] ran on the parent side only" in err
+
+
+def test_verdicts_against_the_bounds_of_benchmark_json(tmp_path):
+    assert bench.METRICS["latency_tail_s"] == ("lower", 0.24)
+    assert bench.METRICS["reports_per_s"] == ("higher", 0.24)
+    assert bench.METRICS["peak_rss_mb"] == ("lower", 0.1)
+    runs = {
+        # a steady parent, and the change 10 % slower: within the bound
+        "latency_tail_s": ([1.0] * 10, [1.1] * 10),
+        # 30 % slower, or 30 % fewer reports a second: past it
+        "latency_p50_s": ([1.0] * 10, [1.3] * 10),
+        "reports_per_s": ([10.0] * 10, [7.0] * 10),
+        # parent quartiles 1 and 2 about a median of 1.5: too wide to tell
+        "setup_s": ([1.0, 2.0] * 5, [1.2] * 10),
+        # as wide, but every change run beats every parent run
+        "peak_rss_mb": ([2.0, 3.0] * 5, [1.0] * 10),
+    }
+    lines = [_line(side, seed, **{name: runs[name][i][seed - 1]
+                                  for name in runs})
+             for seed in range(1, 11) for i, side in enumerate(bench.SIDES)]
+    entry = _write(tmp_path, lines)["workloads"]["chambers"]
+    assert {name: entry[name]["verdict"] for name in runs} == {
+        "latency_tail_s": "no worse", "latency_p50_s": "worse",
+        "reports_per_s": "worse", "setup_s": "unresolved",
+        "peak_rss_mb": "no worse"}
+    tail = entry["latency_tail_s"]
+    assert (tail["bound"], tail["spread"]) == (0.24, 0)
+    assert tail["delta"] == pytest.approx(0.1)
+    assert entry["reports_per_s"]["delta"] == pytest.approx(0.3)
+    assert entry["setup_s"]["spread"] == pytest.approx(2 / 3)
+    rss = entry["peak_rss_mb"]
+    assert (rss["spread"], rss["delta"]) == (pytest.approx(0.4),
+                                             pytest.approx(-0.6))

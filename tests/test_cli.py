@@ -7,6 +7,7 @@ import json
 import os
 import shlex
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from chamberkit import weights as wt
 from chamberkit.cli import _build_parser, _render, _report, main, run
 from chamberkit.hypersimplex import enumerate_admissible
 from chamberkit.ratutil import parse_int, parse_vector
-from chamberkit.strata import dm_strata, permutohedron_faces
+from chamberkit.strata import chi_stratum, dm_strata
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -312,6 +313,29 @@ _QUERY_PINS = [
         "aa6f24f3d97117acbfbe6373d3b2eecbc9109bb5c6d34f81110c63dbde8c6e05",
         "fd8f68fececde921eeefa4a6797a5c44b0aae1468303ba78416c395ae06eb052",
         "119299583b07b2cf341e30a089e4fe92b1c9d7065bf127480a4a2e08e555cb5d"))
+] + [
+    ("invert --mode comp --method strata --coeffs %s --order %d"
+     % (_COMP_COEFFS[i // 4], 9 + i % 4), digest)
+    for i, digest in enumerate((
+        "552e6f547fc43e487f9964077185d03819fd04c9e3d34d7ad0fce8ae3fc8943c",
+        "bcd5484102ca5bb79afee6534344631ed83489d2a2b0658744227dc69ac378af",
+        "309f28be5f3933530286963230e2cbcc45d8b690681c602159aeb37873aa4dcf",
+        "b32dee0551610555c07ce5985e1f3ea67e524bfc9dbce5d3ee5b523587a83f82",
+        "67bae3793044bedb4dd00569adc0a6af53f947cc300b1ac3beccf099da78a943",
+        "f099037ed6291a2e7f845b6f888e716bb6b95e373933f4ec2f07f654fa6ea790",
+        "81fe2a4dea55bd920b82daba0ea872e2fa22d75ec413e79038cf67edfba9805b",
+        "29ea1c7973e254cd748f9eac97aa71e7d28bbf93daa03593115ba99492707927"))
+] + [
+    # the census routes, tallies and certificates as reported while each
+    # census came wrapped in a record class of its own
+    ("verify --suite all --n 5 --seed 7",
+     "4c0b6a77cb594f10017c72b3b115e0387db9cdf0f3041cac57e0eec9cc294286"),
+    ("verify --suite all --n 6 --seed 7",
+     "c7c32b7be34ff62fd95dccd8086df17cf73ad36a7b132ca095607934ade7a05c"),
+    ("strata --space dm --n 13",
+     "5d6c4b5f4a96db06ce8603e2ad3e205e42fae25ff0165383ec3ef8653654fade"),
+    ("strata --space lm --n 13",
+     "c7047bc66f1af4acef9c56d1104a2118f47ae01dd88c55606425445d91f44704"),
 ]
 
 
@@ -370,19 +394,20 @@ def test_cached_counts_misses_only():
 
 def test_run_freezes_the_heap_after_a_build_only():
     # a request that fills a per-process cache collects and freezes what is
-    # alive, so that later full collections skip it; a warm one does not
-    argv = ["invert", "--mode", "mult", "--method", "strata",
-            "--coeffs", "1,1,1/2,1/3", "--order", "3"]
+    # alive, so that later full collections skip it; a warm one does not.
+    # The build checked is a tuple of trees, which the collector keeps
+    # tracking; a dict of int tuples and ints it may untrack.
+    argv = ["strata", "--space", "dm", "--n", "5", "--list"]
     text, code = run(argv)
     builds, frozen = cache.builds, gc.get_freeze_count()
     assert run(argv) == (text, code)
     assert cache.builds == builds and gc.get_freeze_count() <= frozen
-    permutohedron_faces.cache_clear()
+    dm_strata.cache_clear()
     assert run(argv) == (text, code)
     assert cache.builds > builds
-    misses = permutohedron_faces.cache_info().misses
-    built = permutohedron_faces(2)  # the census the request built
-    assert permutohedron_faces.cache_info().misses == misses
+    misses = dm_strata.cache_info().misses
+    built = dm_strata(5)  # the trees the request built
+    assert dm_strata.cache_info().misses == misses
     # frozen objects are in no generation of the collector
     assert gc.is_tracked(built)
     assert not any(o is built for o in gc.get_objects())
@@ -497,11 +522,13 @@ def test_dm_census_report_matches_trees():
     for n in range(4, 8):
         census = run_json(["strata", "--space", "dm", "--n", str(n)])[0]
         trees = dm_strata(n)
+        by_codim = Counter(t.codim for t in trees)
+        by_type = Counter(t.type_string() for t in trees)
         assert census["results"]["census"] == {
-            "by_codim": {str(k): v for k, v in sorted(trees.by_codim.items())},
-            "by_type": dict(sorted(trees.by_type.items())),
-            "total": trees.total,
-            "chi": trees.chi_strata_sum(),
+            "by_codim": {str(k): v for k, v in sorted(by_codim.items())},
+            "by_type": dict(sorted(by_type.items())),
+            "total": len(trees),
+            "chi": sum(chi_stratum(t.valences()) for t in trees),
         }
 
 
@@ -574,9 +601,13 @@ def test_invert_order_checked_before_padding(capsys):
 
 
 def _failing_report(monkeypatch, target, fake, argv):
-    """Report and exit code with one library function replaced."""
+    """Report and exit code with one library function replaced.  The census
+    payloads that cli keeps per process are dropped before the request, so
+    that it reads the fake, and after it, so that no later one does."""
     monkeypatch.setattr(target, fake)
+    cli._census_payload.cache_clear()
     report, code = run_json(argv)
+    cli._census_payload.cache_clear()
     assert set(report) == {"schema_version", "command", "inputs", "results",
                            "certificates", "notes"}
     return report, code

@@ -7,11 +7,13 @@ recursions are module-level functions instead.  No json.dump or json.dumps
 call takes an indent, which makes json leave its C encoder.  The README's
 table of enumeration guards quotes each cap as the constant in the code.
 A public top-level name that no module of the library uses is library API
-named in LIBRARY_API, and a public method, property or annotated field of a
-public class that no module of the library reads as an attribute is one
-named in LIBRARY_MEMBERS, each with its reason; so a helper only the tests
-call lives under tests/ (tests/helpers.py), with the object it queried as
-its first argument.  The README's library layout table names exactly the
+named in LIBRARY_API: a load counts as a use only where no enclosing
+function binds the name, and an attribute only on a module imported with a
+relative `from . import`.  A public method, property or annotated field of
+a public class that no module of the library reads as an attribute, matched
+by name, is one named in LIBRARY_MEMBERS, each with its reason; so a helper
+only the tests call lives under tests/ (tests/helpers.py), with the object
+it queried as its first argument.  The README's library layout table names exactly the
 modules of the package, and only hypersimplex imports the exact LP module.
 """
 
@@ -49,12 +51,14 @@ GUARDS = {
 
 
 # the public top-level names that no module of the library uses: the
-# constraint builders and polytope queries of exactgeom, and queries that
-# the CLI answers through other functions (stability_report, _xi_pass) or
-# not at all
+# constraint builders and polytope queries of exactgeom, the word builder
+# and differential of the facet differential algebra, which tests exercise
+# and no command calls, and queries that the CLI answers through other
+# functions (stability_report, _xi_pass) or not at all
 LIBRARY_API = {
     "exactgeom": {"affine_dimension", "eq", "ge", "gt", "le", "lt",
                   "relative_interior_point"},
+    "series": {"differential", "word"},
     "strata": {"degeneration_label"},
     "weights": {"facet_cover_count", "locate_weight", "stability"},
 }
@@ -71,12 +75,6 @@ LIBRARY_MEMBERS = {
                                     "for certificates across its walls",
     },
     "strata": {
-        "FaceCensus.by_k": "face counts by number of blocks, for the toric "
-                           "Poincare polynomial",
-        "FaceCensus.f_vector": "face counts by dimension, for the toric "
-                               "Poincare polynomial",
-        "StrataCensus.by_codim": "the nodal strata counted by codimension, "
-                                 "the census's f-vector for library callers",
         "BuildingLattice.generators": "the triple coincidences the building "
                                       "set is closed from",
     },
@@ -220,10 +218,63 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+           ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _local_names(scope):
+    """The names a function, lambda or comprehension binds in its own
+    scope: its parameters or loop targets, and what its body assigns,
+    imports or defines, less the names it declares global.  Nested scopes
+    bind their own."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        bound = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+                 + [a.vararg, a.kwarg] if arg}
+        todo = (list(scope.body) if isinstance(scope.body, list)
+                else [scope.body])
+    else:
+        bound = set()
+        todo = [gen.target for gen in scope.generators]
+    declared = set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0]
+                         for alias in node.names)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, ast.Global):
+            declared.update(node.names)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            bound.add(node.name)
+        elif not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def free_loads(node, bound=frozenset()):
+    """The names loaded under node where no enclosing function, lambda or
+    comprehension binds them."""
+    if isinstance(node, ast.Name):
+        if isinstance(node.ctx, ast.Load) and node.id not in bound:
+            yield node.id
+        return
+    if isinstance(node, _SCOPES):
+        bound = bound | _local_names(node)
+    for child in ast.iter_child_nodes(node):
+        yield from free_loads(child, bound)
+
+
 def unused_public_names(modules):
     """{module: names} of the public top-level functions, classes and
-    assigned names that no module of the given (name, tree) pairs loads,
-    reaches as an attribute or imports by name."""
+    assigned names that no module of the given (name, tree) pairs loads
+    unshadowed, reaches as an attribute of a module imported with a relative
+    `from . import` or imports by name.  A local variable or an attribute of
+    any other object that shares a public name's spelling is no use of it."""
     defined = {}
     used = set()
     for name, tree in modules:
@@ -238,13 +289,16 @@ def unused_public_names(modules):
             for public in names:
                 if not public.startswith("_"):
                     defined.setdefault(public, []).append(name[:-3])
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+        used.update(free_loads(tree))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)]
+        aliases = {alias.asname or alias.name for node in imports
+                   if node.level and not node.module for alias in node.names}
+        used.update(alias.name for node in imports for alias in node.names)
+        used.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases)
     out = {}
     for public, owners in defined.items():
         if public not in used:
@@ -254,13 +308,23 @@ def unused_public_names(modules):
 
 
 def test_scan_finds_an_unused_public_name():
-    tree = ast.parse("X = 1\n_Y = 2\n"
+    # word is only ever a loop variable, differential only a method of some
+    # object and walk only a parameter; COUNT is assigned under a global
+    # statement, and bump is reached through the module alias o
+    tree = ast.parse("X = 1\n_Y = 2\nCOUNT = 0\n"
                      "def used():\n    return X\n"
                      "def unused():\n    return used()\n"
-                     "class Kept:\n    pass\n")
-    other = ast.parse("from .one import Kept\n")
+                     "class Kept:\n    pass\n"
+                     "def word():\n    return 0\n"
+                     "def walk(xs):\n    return [w for word in xs for w in word]\n"
+                     "def differential(p):\n    return p.differential()\n"
+                     "def bump():\n    global COUNT\n"
+                     "    for word in range(3):\n"
+                     "        COUNT = COUNT + word\n")
+    other = ast.parse("from .one import Kept\nfrom . import one as o\n"
+                      "def _call(walk):\n    return o.bump(), walk\n")
     assert unused_public_names([("one.py", tree), ("two.py", other)]) == {
-        "one": {"unused"}}
+        "one": {"unused", "word", "walk", "differential"}}
 
 
 def test_unused_public_names_are_library_api():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 from math import comb, factorial, prod
@@ -14,26 +15,33 @@ from chamberkit.strata import (EXTENSION, GENERIC, INF, MAX_PERM_M, ONE,
                                dm_valence_census, label_is_consistent,
                                lm_census, lm_point_label_census_n5, lm_strata,
                                permutohedron_faces, reduction_divisors,
-                               wonderful_building_set,
+                               tally, wonderful_building_set,
                                wonderful_divisor_census, _laminar_families,
                                _ordered_partitions, _screen)
 
 from cell_oracles import (chi_term, composition_faces, fubini,
                           lm_chain_tally, pair_graph_closure, pair_set_leq,
                           reduction_divisors_fractions, stirling2)
-from helpers import (building_closure, center_sizes, locus_is_point,
-                     locus_leq, locus_support_type, permute_lm_chain,
-                     relabel_tree)
+from helpers import (building_closure, center_sizes, grade_counts,
+                     locus_is_point, locus_leq, locus_support_type,
+                     permute_lm_chain, relabel_tree)
+
+
+def f_vector(m):
+    """Face counts of the m-permutohedron by dimension: f_d counts the
+    faces of k = m + 1 - d blocks."""
+    by_k = grade_counts(permutohedron_faces(m))
+    return tuple(by_k[m + 1 - d] for d in range(m + 1))
 
 
 def test_dm_counts():
-    c4 = dm_strata(4)
-    assert c4.by_codim == {0: 1, 1: 3}
+    assert Counter(t.codim for t in dm_strata(4)) == {0: 1, 1: 3}
     c5 = dm_strata(5)
-    assert c5.by_codim == {0: 1, 1: 10, 2: 15}
-    assert c5.by_type == {"M05": 1, "M04xM03": 10, "M03xM03xM03": 15}
+    assert Counter(t.codim for t in c5) == {0: 1, 1: 10, 2: 15}
+    assert Counter(t.type_string() for t in c5) == {
+        "M05": 1, "M04xM03": 10, "M03xM03xM03": 15}
     c6 = dm_strata(6)
-    assert c6.by_codim == {0: 1, 1: 25, 2: 105, 3: 105}
+    assert Counter(t.codim for t in c6) == {0: 1, 1: 25, 2: 105, 3: 105}
 
 
 def test_dm_guards():
@@ -118,7 +126,7 @@ def test_dm_census_euler_matches_fibration():
 def test_dm_census_matches_trees():
     for n in range(4, 8):
         explicit = {}
-        for t in dm_strata(n).trees:
+        for t in dm_strata(n):
             key = (t.codim, t.valences())
             explicit[key] = explicit.get(key, 0) + 1
         assert dm_valence_census(n) == explicit
@@ -127,7 +135,7 @@ def test_dm_census_matches_trees():
 def test_chi_identities():
     values = {4: 2, 5: 7, 6: 34, 7: 213}
     for n, chi in values.items():
-        assert dm_strata(n).chi_strata_sum() == chi
+        assert sum(chi_stratum(t.valences()) for t in dm_strata(n)) == chi
         assert chi_mbar(n) == chi
     assert chi_open_moduli(4) == -1 and chi_open_moduli(6) == -6
 
@@ -165,7 +173,7 @@ def test_building_closure_rejects_points_outside_the_light_set():
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_tree_vertices_partition_the_legs(n):
-    for t in dm_strata(n).trees:
+    for t in dm_strata(n):
         verts = t.vertices()
         assert sorted(x for v in verts for x in v) == list(range(1, n + 1))
         assert 1 in verts[-1] and len(verts) == t.codim + 1
@@ -177,12 +185,12 @@ def test_tree_relabel_equivariance():
     rng = random.Random(77)
     for n in (5, 6):
         census = dm_strata(n)
-        trees = set(census.trees)
+        trees = set(census)
         perm = list(range(n))
         rng.shuffle(perm)
-        moved = {relabel_tree(perm, t) for t in census.trees}
+        moved = {relabel_tree(perm, t) for t in census}
         assert moved == trees
-        for t in list(census.trees)[:: max(1, len(trees) // 20)]:
+        for t in list(census)[:: max(1, len(trees) // 20)]:
             assert relabel_tree(perm, t).valences() == t.valences()
 
 
@@ -259,35 +267,35 @@ def test_reduction_divisors_match_fraction_oracle():
 
 
 def test_lm_counts():
-    c4 = lm_census(4)
-    assert c4.by_dim == {1: 1, 0: 3} and c4.chi == 2
-    c5 = lm_census(5)
-    assert c5.by_dim == {2: 1, 1: 9, 0: 13}
-    assert c5.by_type["M04xM03"] == 6 and c5.by_type["M04"] == 3
-    assert c5.chi == 6
+    by_dim, _, _, chi = tally(lm_census(4))
+    assert by_dim == {1: 1, 0: 3} and chi == 2
+    by_dim, by_type, _, chi = tally(lm_census(5))
+    assert by_dim == {2: 1, 1: 9, 0: 13}
+    assert by_type["M04xM03"] == 6 and by_type["M04"] == 3
+    assert chi == 6
 
 
 def test_lm_chi_identity():
     # chi = (n - 2)!, the vertices of the permutohedron of the chain space
     for n in range(4, 14):
-        assert lm_census(n).chi == factorial(n - 2)
+        chi = tally(lm_census(n))[3]
+        assert chi == factorial(n - 2)
         if n - 3 <= MAX_PERM_M:
-            assert permutohedron_faces(n - 3).by_k[n - 2] == lm_census(n).chi
+            assert grade_counts(permutohedron_faces(n - 3))[n - 2] == chi
 
 
 def test_lm_census_totals_are_stirling_fubini_sums():
     # a chain splits the n - 2 light legs into c clusters, S(n - 2, c) ways,
     # and orders the clusters into screens, Fub(c) ways
     for n in range(4, 14):
-        assert lm_census(n).total == sum(stirling2(n - 2, c) * fubini(c)
-                                         for c in range(1, n - 1))
-    assert lm_census(13).total == 25928015368
+        assert sum(lm_census(n).values()) == sum(
+            stirling2(n - 2, c) * fubini(c) for c in range(1, n - 1))
+    assert sum(lm_census(13).values()) == 25928015368
 
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_lm_census_matches_chain_walk(n):
-    c = lm_census(n)
-    assert (c.by_dim, c.by_type, c.total, c.chi) == lm_chain_tally(n)
+    assert tally(lm_census(n)) == lm_chain_tally(n)
 
 
 def test_screen_counts_are_stirling_numbers():
@@ -334,7 +342,7 @@ def test_lm_face_consistency():
         for c in lm_strata(n):
             if all(len(cl) == 1 for cls in c.clusters for cl in cls):
                 free[c.k] = free.get(c.k, 0) + 1
-        assert free == permutohedron_faces(n - 3).by_k
+        assert free == grade_counts(permutohedron_faces(n - 3))
 
 
 def test_lm_chain_fields():
@@ -415,20 +423,22 @@ def test_point_label_oracle_n5():
 
 
 def test_permutohedron_census():
-    assert permutohedron_faces(2).f_vector == (6, 6, 1)
+    assert f_vector(2) == (6, 6, 1)
     fc = permutohedron_faces(3)
-    assert fc.f_vector == (24, 36, 14, 1)
-    assert fc.total == fubini(4) == 75
-    assert fc.by_type[(2, 1, 1)] == 36 and fc.by_type[(2, 2)] == 6
-    assert permutohedron_faces(0).f_vector == (1,)
+    assert f_vector(3) == (24, 36, 14, 1)
+    assert sum(fc.values()) == fubini(4) == 75
+    assert fc[(3, (2, 1, 1))] == 36 and fc[(2, (2, 2))] == 6
+    assert f_vector(0) == (1,)
     for m in (1, 2, 3, 4, 5):
-        assert permutohedron_faces(m).total == fubini(m + 1)
+        assert sum(permutohedron_faces(m).values()) == fubini(m + 1)
 
 
 def test_permutohedron_matches_composition_walk():
     for m in range(9):
-        fc = permutohedron_faces(m)
-        assert (fc.by_k, fc.by_type, fc.f_vector) == composition_faces(m)
+        by_type = {sizes: count for (_, sizes), count
+                   in permutohedron_faces(m).items()}
+        assert (grade_counts(permutohedron_faces(m)), by_type,
+                f_vector(m)) == composition_faces(m)
 
 
 def test_permutohedron_oracle():
@@ -437,7 +447,7 @@ def test_permutohedron_oracle():
         by_k = {}
         for p in osps:
             by_k[len(p)] = by_k.get(len(p), 0) + 1
-        assert by_k == permutohedron_faces(m).by_k
+        assert by_k == grade_counts(permutohedron_faces(m))
 
 
 def test_permutohedron_guard():
@@ -507,10 +517,10 @@ def test_building_set_guards():
 
 
 def test_wonderful_divisor_census():
-    assert wonderful_divisor_census(5).by_type == {"F4": 1}
-    assert wonderful_divisor_census(6).by_type == {"F4xF4": 4, "F5": 1}
+    assert wonderful_divisor_census(5) == {"F4": 1}
+    assert wonderful_divisor_census(6) == {"F4xF4": 4, "F5": 1}
     c7 = wonderful_divisor_census(7)
-    assert c7.by_type == {"F4xF5": 10, "F5xF4": 5, "F6": 1}
+    assert c7 == {"F4xF5": 10, "F5xF4": 5, "F6": 1}
     assert center_sizes(wonderful_building_set(7)) == {3: 10, 4: 5, 5: 1}
 
 
@@ -518,7 +528,7 @@ def test_wonderful_totals_match_reduction():
     for n in (5, 6, 7):
         eps = F(1, 2 * (n - 2))
         divs = reduction_divisors((1,) * n, (1, 1) + (eps,) * (n - 2))
-        assert wonderful_divisor_census(n).total == len(divs)
+        assert sum(wonderful_divisor_census(n).values()) == len(divs)
         # refined: census by center size matches divisors by |I|
         by_size = {}
         for d in divs:

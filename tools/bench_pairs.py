@@ -13,9 +13,14 @@ raw file, so an interrupted series keeps its runs. run.py's default run
 length applies to both sides.
 `write` reads the raw file and writes, per workload, the per-pair values,
 per-side medians and quartiles and the number of pairs the change won for
-each end-to-end metric, with the commits, the `src/` line counts, the
-command, the Python version and nproc (the CPUs this process may run on, as
-run.py reads it). Seeds run on one side only are listed per workload under
+each end-to-end metric that BENCHMARK.json declares, with the commits, the
+`src/` line counts, the command, the Python version and nproc (the CPUs
+this process may run on, as run.py reads it).  Each metric also gets its
+bound from BENCHMARK.json, its `spread` (the parent's quartile distance
+over its median), its `delta` (the change median against the parent
+median, positive when worse) and a `verdict`: "unresolved" when the spread
+exceeds the bound, unless every change run beats every parent run; else
+"worse" when the delta exceeds the bound; else "no worse". Seeds run on one side only are listed per workload under
 `unpaired` and named on stderr. It refuses a raw file whose runs of one side
 come from more than one tree, or that were sent with different commands.
 """
@@ -28,10 +33,20 @@ import statistics
 import subprocess
 import sys
 
-METRICS = {"setup_s": "lower", "reports_per_s": "higher",
-           "latency_p50_s": "lower", "latency_tail_s": "lower",
-           "peak_rss_mb": "lower"}
 SIDES = ("parent", "change")
+
+
+def _end_to_end():
+    """{name: (better, bound)} of the end-to-end metrics that BENCHMARK.json,
+    at the root of this checkout, declares."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "BENCHMARK.json")
+    with open(path) as fh:
+        return {m["name"]: (m["better"], m["bound"])
+                for m in json.load(fh)["end_to_end"]}
+
+
+METRICS = _end_to_end()
 
 
 def _seeds(text):
@@ -104,11 +119,25 @@ def _metric(pairs, name):
         out[side + "_median"] = statistics.median(vals)
         q = statistics.quantiles(vals, n=4) if len(vals) > 1 else vals * 3
         out[side + "_quartiles"] = [q[0], q[2]]
-    lower = METRICS[name] == "lower"
+    better, bound = METRICS[name]
+    lower = better == "lower"
     out["change_better_pairs"] = sum(
         1 for row in per_pair
         if (row["change"] < row["parent"]) == lower
         and row["change"] != row["parent"])
+    parent, change = ([row[side] for row in per_pair] for side in SIDES)
+    median = out["parent_median"]
+    lo, hi = out["parent_quartiles"]
+    out["bound"] = bound
+    out["spread"] = (hi - lo) / median
+    out["delta"] = (out["change_median"] - median) / median * (
+        1 if lower else -1)
+    separated = (max(change) < min(parent) if lower
+                 else min(change) > max(parent))
+    if out["spread"] > bound and not separated:
+        out["verdict"] = "unresolved"
+    else:
+        out["verdict"] = "worse" if out["delta"] > bound else "no worse"
     out["per_pair"] = per_pair
     return out
 
